@@ -24,7 +24,6 @@ from .monomial_ideals import (
     minimalize,
     quotient_top_degree,
 )
-from .orders import DEGLEX, DEGREVLEX, LEX, compare, m_index as monomial_top_index
 from .parser import InputDocument, ParseError, parse_input
 from .regularity import (
     CharacteristicError,
@@ -36,7 +35,6 @@ from .regularity import (
     full_invariants,
     generic_initial_ideal,
     invariants_via_gin,
-    partial_invariants,
 )
 from .rings import Polynomial, PolynomialRing, apply_linear_change
 
@@ -47,10 +45,6 @@ __all__ = [
     "PolynomialRing",
     "Polynomial",
     "apply_linear_change",
-    "compare",
-    "DEGREVLEX",
-    "DEGLEX",
-    "LEX",
     "Ideal",
     "normal_form",
     "s_polynomial",
@@ -63,7 +57,6 @@ __all__ = [
     "krull_dimension",
     "is_borel_fixed",
     "m_index",
-    "monomial_top_index",
     "NEG_INF",
     "POS_INF",
     "BettiTable",
@@ -71,7 +64,6 @@ __all__ = [
     "invariants_from_betti",
     "lcm_multidegrees",
     "c_invariants",
-    "partial_invariants",
     "full_invariants",
     "generic_initial_ideal",
     "invariants_via_gin",

@@ -8,7 +8,7 @@ This is a verification oracle, deliberately restricted to desk scale
 
 from itertools import combinations
 
-from .linalg import rank_int, rank_mod_p
+from .linalg import rank
 from .monomial_ideals import NEG_INF, MonomialIdeal
 from .orders import mono_lcm
 
@@ -87,10 +87,7 @@ def reduced_homology_ranks(by_dim, field_char=0):
     boundary_ranks = [0] * (len(by_dim) + 1)
     for d in range(1, len(by_dim)):
         mat = _boundary_matrix(by_dim[d - 1], by_dim[d])
-        if field_char == 0:
-            boundary_ranks[d] = rank_int(mat)
-        else:
-            boundary_ranks[d] = rank_mod_p(mat, field_char)
+        boundary_ranks[d] = rank(mat, field_char)
     # homology in dimension d (faces level d+1): ker - im
     ranks = []
     for d in range(len(by_dim) - 1):

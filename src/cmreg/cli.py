@@ -77,7 +77,7 @@ def _report_json(report, ring):
 
 
 def _oracle_json(J, t):
-    table = betti_table(J)
+    table = betti_table(J, field_char=J.ring.field.characteristic)
     inv = invariants_from_betti(table, t=t)
     return {
         "t": t,
@@ -194,7 +194,6 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
         return EXIT_INPUT
 
     ring = document.ring
-    ideal = document.ideal()
     char0 = ring.field.characteristic == 0
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -209,7 +208,10 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
         "methods": {},
     }
     monomial = _as_monomial_ideal(document)
+    # a monomial input is its own initial ideal: no Groebner basis needed
+    ideal = monomial if monomial is not None else document.ideal()
     notes = []
+    rep = None
     try:
         if args.method in ("c", "all"):
             rep = full_invariants(
@@ -228,17 +230,18 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
                     )
                 notes.append("gin method skipped over %s" % ring.field.name)
             else:
-                rep = invariants_via_gin(
+                gin_rep = invariants_via_gin(
                     ideal, t=args.t, seed=args.seed, bound=args.bound
                 )
-                doc["methods"]["gin"] = _report_json(rep, ring)
-        oracle_ideal = None
+                doc["methods"]["gin"] = _report_json(gin_rep, ring)
         if args.method in ("oracle", "all"):
-            if monomial is not None:
+            if rep is not None:
+                oracle_ideal = rep.initial_ideal
+            elif monomial is not None:
                 oracle_ideal = monomial
             else:
-                gb = reduced_groebner_basis(ideal)
-                oracle_ideal = initial_ideal(gb, ring)
+                oracle_ideal = initial_ideal(reduced_groebner_basis(ideal), ring)
+            if monomial is None:
                 notes.append(
                     "oracle values describe R/in(I), the quotient by the "
                     "initial ideal"
@@ -250,9 +253,14 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
                 doc["betti"] = _betti_json(table)
                 doc["hilbert_numerator"] = hilbert_numerator(oracle_ideal)
     except FilterRegularityFailure as exc:
-        print(
-            "mathematical failure: %s (retry with --generic)" % exc, file=err
-        )
+        if args.generic:
+            hint = (
+                "after %d random coordinate changes; %s may be too small "
+                "a field for generic coordinates" % (exc.retries, ring.field.name)
+            )
+        else:
+            hint = "(retry with --generic)"
+        print("mathematical failure: %s %s" % (exc, hint), file=err)
         return EXIT_MATH
     except GinAgreementError as exc:
         print("mathematical failure: %s" % exc, file=err)
@@ -262,7 +270,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
         return EXIT_INPUT
 
     if args.betti and "betti" not in doc and monomial is not None:
-        table = betti_table(monomial)
+        table = betti_table(monomial, field_char=ring.field.characteristic)
         doc["betti"] = _betti_json(table)
         doc["hilbert_numerator"] = hilbert_numerator(monomial)
 

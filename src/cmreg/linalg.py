@@ -3,6 +3,13 @@ straightforward elimination over GF(p).  No floating point anywhere.
 """
 
 
+def rank(rows, characteristic):
+    """Rank of an integer matrix over QQ (characteristic 0) or GF(p)."""
+    if characteristic == 0:
+        return rank_int(rows)
+    return rank_mod_p(rows, characteristic)
+
+
 def rank_int(rows):
     """Rank over QQ of an integer matrix, by fraction-free elimination."""
     m = [list(r) for r in rows]

@@ -158,8 +158,10 @@ def divide_by_one_minus_t(p):
 def hilbert_numerator(J):
     """Coefficients of N(t) with HS(S/J) = N(t)/(1-t)^n.
 
-    Pivot recursion N(J) = N(J + (p)) + t N(J : p) on a most-frequent
-    variable p, with memoization on the minimal generator sets.
+    Pivot recursion N(J) = N(J + (p)) + t^k N(J : p) on a power p = x_i^k
+    of a most-frequent variable (Bigatti's pivot), with memoization on the
+    minimal generator sets.  Taking k as the least positive exponent of x_i
+    in a mixed generator keeps the depth independent of the exponents.
     """
     memo = {}
 
@@ -191,21 +193,17 @@ def _numerator(gens, recurse):
             out = _psub(out, _pshift(out, sum(g)))
         return out
     # pivot among variables of mixed generators only, so both branches shrink
-    mixed_support = {
-        i
-        for g in gens
-        if sum(1 for e in g if e > 0) >= 2
-        for i in range(nvars)
-        if g[i] > 0
-    }
+    mixed = [g for g in gens if sum(1 for e in g if e > 0) >= 2]
+    mixed_support = {i for g in mixed for i in range(nvars) if g[i] > 0}
     counts = {i: sum(1 for g in gens if g[i] > 0) for i in mixed_support}
     pivot = max(mixed_support, key=lambda i: (counts[i], -i))
-    p = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = minimalize([g for g in gens if g[pivot] == 0] + [p])
+    k = min(g[pivot] for g in mixed if g[pivot] > 0)
+    p = tuple(k if i == pivot else 0 for i in range(nvars))
+    plus = minimalize([g for g in gens if g[pivot] < k] + [p])
     colon = minimalize(
-        [g[:pivot] + (g[pivot] - 1,) + g[pivot + 1 :] if g[pivot] > 0 else g for g in gens]
+        [g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in gens]
     )
-    return _padd(recurse(tuple(plus)), _pshift(recurse(tuple(colon)), 1))
+    return _padd(recurse(tuple(plus)), _pshift(recurse(tuple(colon)), k))
 
 
 def quotient_top_degree(J_sub, J_sup):

@@ -1,56 +1,14 @@
-"""Monomial orders and exponent-vector arithmetic.
+"""The monomial order and exponent-vector arithmetic.
 
 Monomials are plain tuples of non-negative integers (dense exponent
-vectors).  The default order is degree reverse lexicographic: compare by
-total degree first, ties broken by the LAST nonzero entry of the
-difference being negative.
+vectors).  The only order is degree reverse lexicographic, because the
+c-invariants are defined for it: compare by total degree first, ties
+broken by the LAST nonzero entry of the difference being negative.
 """
-
-DEGREVLEX = "degrevlex"
-DEGLEX = "deglex"
-LEX = "lex"
 
 
 def degrevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def deglex_key(exps):
-    return (sum(exps), exps)
-
-
-def lex_key(exps):
-    return exps
-
-
-ORDER_KEYS = {DEGREVLEX: degrevlex_key, DEGLEX: deglex_key, LEX: lex_key}
-
-
-def order_key(order):
-    try:
-        return ORDER_KEYS[order]
-    except KeyError:
-        raise ValueError("unknown monomial order %r" % (order,)) from None
-
-
-def compare(a, b, order=DEGREVLEX):
-    """Return -1, 0 or 1 as a <, =, > b in the given order."""
-    if len(a) != len(b):
-        raise ValueError("exponent vectors of different lengths")
-    ka, kb = order_key(order)(a), order_key(order)(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def degree(a):
-    return sum(a)
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_divides(a, b):

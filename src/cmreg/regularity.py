@@ -36,10 +36,15 @@ from .rings import apply_linear_change, matrix_is_invertible
 
 
 class FilterRegularityFailure(Exception):
-    """Some c_i = +inf: variable i fails filter-regularity."""
+    """Some c_i = +inf: variable i fails filter-regularity.
+
+    `retries` is the number of random coordinate changes tried before
+    giving up.
+    """
 
     def __init__(self, index):
         self.index = index
+        self.retries = 0
         super().__init__(
             "filter-regularity fails at substitution index %d (c_%d = +inf)"
             % (index, index)
@@ -92,7 +97,7 @@ class RegularityReport:
 
 
 def _initial_of(I):
-    """in(I) under the ring's order, for an Ideal or a MonomialIdeal."""
+    """in(I) under degrevlex, for an Ideal or a MonomialIdeal."""
     if isinstance(I, MonomialIdeal):
         return I
     gb = reduced_groebner_basis(I)
@@ -135,12 +140,6 @@ def invariants_from_c(c_values, t, nonzero_ideal=True):
     return NEG_INF, NEG_INF, reg_q, astar_q
 
 
-def partial_invariants(I, t):
-    """(reg_t(I), a*_t(I), reg_t(R/I), a*_t(R/I)) by the c-invariant route."""
-    c = c_invariants(I, t)
-    return invariants_from_c(c, t, nonzero_ideal=not I.is_zero())
-
-
 def random_invertible_matrix(rng, n, field, bound=1000):
     """A random integer matrix, redrawn until invertible over the field."""
     while True:
@@ -150,8 +149,13 @@ def random_invertible_matrix(rng, n, field, bound=1000):
 
 
 def transform_ideal(I, rows):
-    """Apply an invertible linear change of coordinates to every generator."""
-    return Ideal(I.ring, [apply_linear_change(g, rows) for g in I.generators])
+    """Apply an invertible linear change of coordinates to every generator
+    of an Ideal or a MonomialIdeal."""
+    if isinstance(I, MonomialIdeal):
+        gens = [I.ring.monomial(g) for g in I.gens]
+    else:
+        gens = I.generators
+    return Ideal(I.ring, [apply_linear_change(g, rows) for g in gens])
 
 
 def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5):
@@ -161,6 +165,8 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
     so the values are the full reg and a*).  On filter-regularity
     failure, retries in random coordinates when use_generic is set; reg
     and a* are coordinate-invariant, so the retried values are faithful.
+    Each pass computes one initial ideal: in(I) itself, then in(g I) for
+    each random change g.
     """
     J0 = _initial_of(I)
     if J0.is_unit():
@@ -168,25 +174,23 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
     dim = krull_dimension(J0)
     t_eff = dim if t is None else t
     nonzero = bool(J0.gens)
-    if isinstance(I, MonomialIdeal):
-        ring = I.ring
-        I = Ideal(ring, [ring.monomial(g) for g in I.gens])
     rng = random.Random(seed)
-    current = I
+    J = J0
     retries = 0
     while True:
-        c = tuple(c_invariants(current, t_eff))
+        c = tuple(c_invariants(J, t_eff))
         try:
             reg_i, astar_i, reg_q, astar_q = invariants_from_c(
                 c, t_eff, nonzero_ideal=nonzero
             )
             break
-        except FilterRegularityFailure:
+        except FilterRegularityFailure as exc:
             if not use_generic or retries >= retry_cap:
+                exc.retries = retries
                 raise
             retries += 1
             m = random_invertible_matrix(rng, I.ring.n, I.ring.field, bound)
-            current = transform_ideal(I, m)
+            J = _initial_of(transform_ideal(I, m))
     return RegularityReport(
         t=t_eff,
         c=c,
@@ -205,9 +209,6 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
 def generic_initial_ideal(I, seed=0, bound=1000, draw_cap=8):
     """Gin(I) by Monte Carlo: accept when two independent random
     coordinate changes give the same initial ideal and it is Borel-fixed."""
-    if isinstance(I, MonomialIdeal):
-        ring = I.ring
-        I = Ideal(ring, [ring.monomial(g) for g in I.gens])
     ring = I.ring
     if ring.field.characteristic != 0:
         raise CharacteristicError(

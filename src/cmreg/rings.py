@@ -1,14 +1,14 @@
 """Polynomial rings over exact fields, with homogeneous polynomial arithmetic.
 
-A ring fixes the variable names, the coefficient field and the active
-monomial order.  Polynomials are immutable; internally a dict mapping
+A ring fixes the variable names and the coefficient field; monomials are
+ordered by degrevlex.  Polynomials are immutable; internally a dict mapping
 exponent tuples to nonzero coefficients, exposed as a term list sorted
-descending in the active order.
+descending in degrevlex.
 """
 
-from . import orders
 from .fields import QQ
-from .orders import DEGREVLEX, order_key
+from .linalg import rank
+from .orders import degrevlex_key
 
 
 class RingMismatchError(ValueError):
@@ -16,26 +16,22 @@ class RingMismatchError(ValueError):
 
 
 class PolynomialRing:
-    """k[x_1, ..., x_n] with a fixed monomial order."""
+    """k[x_1, ..., x_n] under the degrevlex order."""
 
-    def __init__(self, names, field=QQ, order=DEGREVLEX):
+    key = staticmethod(degrevlex_key)
+
+    def __init__(self, names, field=QQ):
         names = tuple(names)
         if not names:
             raise ValueError("need at least one variable")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        order_key(order)  # validate
         self.names = names
         self.field = field
-        self.order = order
 
     @property
     def n(self):
         return len(self.names)
-
-    @property
-    def key(self):
-        return order_key(self.order)
 
     def zero(self):
         return Polynomial(self, {})
@@ -83,12 +79,12 @@ class PolynomialRing:
         return Polynomial(self, coeffs)
 
     def drop_last(self, i):
-        """The subring on the first n-i variables, same field and order."""
+        """The subring on the first n-i variables, same field."""
         if not 0 <= i <= self.n - 1:
             raise ValueError("cannot drop %d of %d variables" % (i, self.n))
         if i == 0:
             return self
-        return PolynomialRing(self.names[: self.n - i], self.field, self.order)
+        return PolynomialRing(self.names[: self.n - i], self.field)
 
     def format_monomial(self, exps):
         if not any(exps):
@@ -106,11 +102,10 @@ class PolynomialRing:
             isinstance(other, PolynomialRing)
             and self.names == other.names
             and self.field == other.field
-            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.names, self.field, self.order))
+        return hash((self.names, self.field))
 
     def __repr__(self):
         return "%s[%s]" % (self.field.name, ", ".join(self.names))
@@ -133,7 +128,7 @@ class Polynomial:
 
     @property
     def terms(self):
-        """Terms (coeff, exps) sorted descending in the ring's order."""
+        """Terms (coeff, exps) sorted descending in degrevlex."""
         if self._terms is None:
             key = self.ring.key
             self._terms = tuple(
@@ -283,23 +278,11 @@ def _is_negative(c):
 
 
 def matrix_is_invertible(field, rows):
-    """Exact invertibility test of a square matrix over the field."""
+    """Exact invertibility test of a square integer matrix over the field."""
     n = len(rows)
-    m = [[field(v) if isinstance(v, int) else v for v in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    zero = field.zero
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != zero), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = field.one / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != zero:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return True
+    return rank(rows, field.characteristic) == n
 
 
 def apply_linear_change(f, rows):

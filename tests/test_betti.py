@@ -135,6 +135,14 @@ class TestBettiTable:
             assert T.k_polynomial() == hilbert_numerator(J)
             done += 1
 
+    def test_large_exponents_match_hilbert_numerator(self):
+        # (x^d y^d, y^d z^d, x^d z^d): a variable-by-variable pivot recursion
+        # is as deep as d and overflows the stack at this size
+        d = 1300
+        R = PolynomialRing(["x", "y", "z"])
+        J = MonomialIdeal.from_generators(R, [(d, d, 0), (0, d, d), (d, 0, d)])
+        assert hilbert_numerator(J) == betti_table(J).k_polynomial()
+
     def test_projective_dimension_bound(self):
         rng = random.Random(23)
         R = PolynomialRing(["x1", "x2", "x3"])

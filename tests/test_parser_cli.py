@@ -38,6 +38,25 @@ x2^3
 x1^2*x3
 """
 
+# Stanley-Reisner ideal of the 6-vertex real projective plane: its Betti
+# numbers, and reg, depend on whether the characteristic is 2
+RP2_NONFACES = """\
+x1*x2*x4
+x1*x2*x5
+x1*x3*x5
+x1*x3*x6
+x1*x4*x6
+x2*x3*x4
+x2*x3*x6
+x2*x5*x6
+x3*x4*x5
+x4*x5*x6
+"""
+
+
+def rp2_file(field):
+    return "ring: x1 x2 x3 x4 x5 x6\nfield: %s\nideal:\n%s" % (field, RP2_NONFACES)
+
 
 class TestParser:
     def test_curve_file(self):
@@ -241,6 +260,39 @@ class TestCli:
         assert rep["generic_retries"] >= 1
         assert rep["reg_quotient"] == 1
 
+    def test_small_field_failure_names_the_field(self, tmp_path):
+        # GF(2) has too few linear forms for generic coordinates
+        p = tmp_path / "rp2.ideal"
+        p.write_text(rp2_file("GF(2)"))
+        code, _, err = run_cli(["compute", "--input", str(p), "--method", "c"])
+        assert code == EXIT_MATH
+        assert "retry with --generic" not in err
+        assert "5 random coordinate changes" in err
+        assert "GF(2) may be too small" in err
+
+    @pytest.mark.parametrize("field, reg", [("QQ", 2), ("GF(2)", 3), ("GF(32003)", 2)])
+    def test_oracle_honours_characteristic(self, tmp_path, field, reg):
+        p = tmp_path / "rp2.ideal"
+        p.write_text(rp2_file(field))
+        code, out, _ = run_cli(
+            ["compute", "--input", str(p), "--method", "oracle", "--json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["methods"]["oracle"]["reg_quotient"] == reg
+
+    def test_oracle_large_exponents(self, tmp_path):
+        d = 1300
+        p = tmp_path / "dfam.ideal"
+        p.write_text(
+            "ring: x y z\nfield: QQ\nideal:\n"
+            "x^{d}*y^{d}\ny^{d}*z^{d}\nx^{d}*z^{d}\n".format(d=d)
+        )
+        code, out, _ = run_cli(
+            ["compute", "--input", str(p), "--method", "oracle", "--betti", "--json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["methods"]["oracle"]["reg_quotient"] == 3 * d - 2
+
     def test_no_subcommand_prints_help(self):
         code, _, err = run_cli([])
         assert code == EXIT_INPUT
@@ -251,3 +303,56 @@ class TestCli:
             run(["--version"])
         assert exc.value.code == 0
         assert "cmreg" in capsys.readouterr().out
+
+
+class TestOneInitialIdeal:
+    """A run computes in(I) once in each coordinate system it visits."""
+
+    @pytest.fixture
+    def gb_calls(self, monkeypatch):
+        import cmreg.cli
+        import cmreg.regularity
+
+        calls = []
+        original = cmreg.regularity.reduced_groebner_basis
+
+        def counted(ideal):
+            calls.append(ideal)
+            return original(ideal)
+
+        monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
+        monkeypatch.setattr(cmreg.cli, "reduced_groebner_basis", counted)
+        return calls
+
+    def run_json(self, tmp_path, text, method):
+        p = tmp_path / "in.ideal"
+        p.write_text(text)
+        code, out, _ = run_cli(
+            ["compute", "--input", str(p), "--method", method, "--json"]
+        )
+        assert code == EXIT_OK
+        return json.loads(out)["methods"]
+
+    def test_monomial_input_needs_no_groebner_basis(self, tmp_path, gb_calls):
+        text = "ring: x1 x2 x3\nfield: QQ\nideal:\nx1^2\nx1*x2\nx2^3\n"
+        methods = self.run_json(tmp_path, text, "c")
+        assert "generic_retries" not in methods["c"]
+        assert len(gb_calls) == 0
+
+    def test_one_per_retry(self, tmp_path, gb_calls):
+        methods = self.run_json(tmp_path, MONOMIAL_FILE, "c")
+        assert len(gb_calls) == methods["c"]["generic_retries"] >= 1
+
+    def test_c_route(self, tmp_path, gb_calls):
+        methods = self.run_json(tmp_path, CURVE_FILE, "c")
+        assert "generic_retries" not in methods["c"]
+        assert len(gb_calls) == 1
+
+    def test_oracle_route(self, tmp_path, gb_calls):
+        self.run_json(tmp_path, CURVE_FILE, "oracle")
+        assert len(gb_calls) == 1
+
+    def test_all_routes_share_in_I(self, tmp_path, gb_calls):
+        methods = self.run_json(tmp_path, CURVE_FILE, "all")
+        assert "generic_retries" not in methods["c"]
+        assert len(gb_calls) == 1 + methods["gin"]["gin_draws_total"]

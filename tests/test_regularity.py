@@ -20,7 +20,6 @@ from cmreg import (
     generic_initial_ideal,
     invariants_from_betti,
     invariants_via_gin,
-    partial_invariants,
 )
 from cmreg.regularity import (
     invariants_from_c,
@@ -66,6 +65,12 @@ class TestCInvariants:
     def test_zero_ideal(self, R2):
         Z = MonomialIdeal.from_generators(R2, [])
         assert c_invariants(Z, 2) == [NEG_INF, NEG_INF, 0]
+
+
+def partial_invariants(I, t):
+    """(reg_t(I), a*_t(I), reg_t(R/I), a*_t(R/I)) in the given coordinates."""
+    rep = full_invariants(I, t=t, use_generic=False)
+    return rep.reg_ideal, rep.astar_ideal, rep.reg_quotient, rep.astar_quotient
 
 
 class TestPartialInvariants:
