@@ -16,6 +16,8 @@ from .groebner import (
 from .monomial_ideals import (
     NEG_INF,
     POS_INF,
+    InputError,
+    MathematicalFailure,
     MonomialIdeal,
     hilbert_numerator,
     is_borel_fixed,
@@ -34,6 +36,7 @@ from .regularity import (
     c_invariants,
     full_invariants,
     generic_initial_ideal,
+    invariants_via_betti,
     invariants_via_gin,
 )
 from .rings import Polynomial, PolynomialRing, apply_linear_change
@@ -67,6 +70,9 @@ __all__ = [
     "full_invariants",
     "generic_initial_ideal",
     "invariants_via_gin",
+    "invariants_via_betti",
+    "InputError",
+    "MathematicalFailure",
     "FilterRegularityFailure",
     "CharacteristicError",
     "GinAgreementError",

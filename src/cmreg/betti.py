@@ -9,14 +9,14 @@ This is a verification oracle, deliberately restricted to desk scale
 from itertools import combinations
 
 from .linalg import rank
-from .monomial_ideals import NEG_INF, MonomialIdeal
+from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
 from .orders import mono_lcm
 
 MAX_GENERATORS = 20
 MAX_VARIABLES = 8
 
 
-class OracleScopeError(ValueError):
+class OracleScopeError(InputError):
     pass
 
 
@@ -108,9 +108,6 @@ class BettiTable:
         self.entries = {k: v for k, v in entries.items() if v}
         self.n = n
 
-    def beta(self, i, j):
-        return self.entries.get((i, j), 0)
-
     def column_max_degrees(self):
         """b_i = max{j : beta_{i,j} != 0}, as a dict over occurring i."""
         out = {}
@@ -135,24 +132,24 @@ class BettiTable:
         )
 
 
-def betti_table(J, field_char=0):
-    """Betti table of S/J for a monomial ideal J.
+def betti_table(J, field_char=None):
+    """Betti table of S/J for a monomial ideal J, with ranks taken in
+    characteristic `field_char` (by default that of J's field).
 
     Rows i = 0, 1 are filled combinatorially from the minimal generators;
     homology supplies i >= 2.
     """
     if not isinstance(J, MonomialIdeal):
         raise TypeError("expected a MonomialIdeal")
-    if J.is_unit():
-        raise ValueError("the unit ideal has no Betti table over S")
     entries = {(0, 0): 1}
     if J.is_zero():
         return BettiTable(entries, J.n)
-    _check_scope(J)
+    if field_char is None:
+        field_char = J.ring.field.characteristic
     for g in J.gens:
         key = (1, sum(g))
         entries[key] = entries.get(key, 0) + 1
-    for b in lcm_multidegrees(J):
+    for b in lcm_multidegrees(J):  # refuses the unit ideal and J beyond scope
         ranks = upper_koszul_homology(J, b, field_char)
         j = sum(b)
         # beta_{i,b}(S/J) = H~_{i-2}(K^b) for i >= 2

@@ -4,9 +4,10 @@
                   [--generic | --no-generic] [--seed N] [--bound B]
                   [--json] [--betti]
 
-Exit codes: 0 success, 1 mathematical failure (filter-regularity failure
-without --generic, method disagreement, Gin agreement failure), 2 input
-error (syntax, undeclared variables, wrong field for the method).
+Exit codes: 0 success, 1 mathematical failure (filter-regularity failure,
+method disagreement, Gin agreement failure), 2 input error (syntax,
+undeclared variables, wrong field for the method, t outside [0, n], the
+unit ideal, an oracle input beyond the oracle's scope).
 """
 
 import argparse
@@ -14,21 +15,20 @@ import json
 import sys
 
 from . import __version__
-from .betti import betti_table, invariants_from_betti
 from .groebner import initial_ideal, reduced_groebner_basis
 from .monomial_ideals import (
     NEG_INF,
     POS_INF,
+    InputError,
+    MathematicalFailure,
     MonomialIdeal,
     hilbert_numerator,
-    krull_dimension,
 )
-from .parser import ParseError, parse_input
+from .parser import parse_input
 from .regularity import (
-    CharacteristicError,
     FilterRegularityFailure,
-    GinAgreementError,
     full_invariants,
+    invariants_via_betti,
     invariants_via_gin,
 )
 
@@ -55,15 +55,17 @@ def _monomials_json(ring, J):
 
 
 def _report_json(report, ring):
-    out = {
-        "t": report.t,
-        "dim_quotient": report.dim_quotient,
-        "c": [ext(v) for v in report.c],
-        "reg_quotient": ext(report.reg_quotient),
-        "reg_ideal": ext(report.reg_ideal),
-        "astar_quotient": ext(report.astar_quotient),
-        "astar_ideal": ext(report.astar_ideal),
-    }
+    out = {"t": report.t, "dim_quotient": report.dim_quotient}
+    if report.c is not None:
+        out["c"] = [ext(v) for v in report.c]
+    out["reg_quotient"] = ext(report.reg_quotient)
+    out["reg_ideal"] = ext(report.reg_ideal)
+    out["astar_quotient"] = ext(report.astar_quotient)
+    out["astar_ideal"] = ext(report.astar_ideal)
+    if report.betti is not None:
+        out["reg_t_quotient"] = ext(report.reg_t_quotient)
+        out["astar_t_quotient"] = ext(report.astar_t_quotient)
+        out["max_generator_degree"] = ext(report.max_generator_degree)
     if report.initial_ideal is not None:
         out["initial_ideal"] = _monomials_json(ring, report.initial_ideal)
     if report.gin is not None:
@@ -74,22 +76,6 @@ def _report_json(report, ring):
     if report.generic_retries:
         out["generic_retries"] = report.generic_retries
     return out
-
-
-def _oracle_json(J, t):
-    table = betti_table(J, field_char=J.ring.field.characteristic)
-    inv = invariants_from_betti(table, t=t)
-    return {
-        "t": t,
-        "dim_quotient": krull_dimension(J),
-        "reg_quotient": ext(inv["reg"]),
-        "reg_ideal": ext(inv["reg"] + 1) if J.gens else "-inf",
-        "astar_quotient": ext(inv["astar"]),
-        "astar_ideal": ext(inv["astar"]) if J.gens else "-inf",
-        "reg_t_quotient": ext(inv["reg_t"]),
-        "astar_t_quotient": ext(inv["astar_t"]),
-        "max_generator_degree": ext(inv["d"]),
-    }, table
 
 
 def _betti_json(table):
@@ -108,7 +94,7 @@ def _print_human(doc, out):
 
     show("ring", " ".join(doc["input"]["variables"]))
     show("field", doc["input"]["field"])
-    for name, rep in doc.get("methods", {}).items():
+    for name, rep in doc["methods"].items():
         print("[method %s]" % name, file=out)
         for key in (
             "t",
@@ -187,14 +173,64 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
     except OSError as exc:
         print("error: %s" % exc, file=err)
         return EXIT_INPUT
+
+    reports, notes = {}, []
     try:
         document = parse_input(text)
-    except ParseError as exc:
+        ring = document.ring
+        monomial = _as_monomial_ideal(document)
+        # a monomial input is its own initial ideal: no Groebner basis needed
+        ideal = monomial if monomial is not None else document.ideal()
+        if args.method in ("c", "all"):
+            reports["c"] = full_invariants(
+                ideal,
+                use_generic=args.generic,
+                seed=args.seed,
+                t=args.t,
+                bound=args.bound,
+            )
+        if args.method in ("gin", "all"):
+            try:
+                reports["gin"] = invariants_via_gin(
+                    ideal, t=args.t, seed=args.seed, bound=args.bound
+                )
+            except InputError:
+                if args.method != "all":
+                    raise
+                notes.append("gin method skipped over %s" % ring.field.name)
+        # the oracle also supplies the Betti table of a monomial input
+        if args.method in ("oracle", "all") or (args.betti and monomial is not None):
+            if "c" in reports:
+                oracle_ideal = reports["c"].initial_ideal
+            elif monomial is not None:
+                oracle_ideal = monomial
+            else:
+                oracle_ideal = initial_ideal(reduced_groebner_basis(ideal), ring)
+            try:
+                reports["oracle"] = invariants_via_betti(oracle_ideal, args.t)
+            except InputError as exc:
+                if args.method != "all":
+                    raise
+                notes.append("oracle method skipped: %s" % exc)
+    except InputError as exc:
         print("input error: %s" % exc, file=err)
         return EXIT_INPUT
+    except MathematicalFailure as exc:
+        hint = ""
+        if isinstance(exc, FilterRegularityFailure):
+            hint = (
+                " after %d random coordinate changes; %s may be too small "
+                "a field for generic coordinates" % (exc.retries, ring.field.name)
+                if args.generic
+                else " (retry with --generic)"
+            )
+        print("mathematical failure: %s%s" % (exc, hint), file=err)
+        return EXIT_MATH
 
-    ring = document.ring
-    char0 = ring.field.characteristic == 0
+    if monomial is None and "oracle" in reports:
+        notes.append(
+            "oracle values describe R/in(I), the quotient by the initial ideal"
+        )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -205,111 +241,46 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
         },
         "method": args.method,
         "seed": args.seed,
-        "methods": {},
+        "methods": {
+            name: _report_json(rep, ring)
+            for name, rep in reports.items()
+            if args.method in (name, "all")
+        },
     }
-    monomial = _as_monomial_ideal(document)
-    # a monomial input is its own initial ideal: no Groebner basis needed
-    ideal = monomial if monomial is not None else document.ideal()
-    notes = []
-    rep = None
-    try:
-        if args.method in ("c", "all"):
-            rep = full_invariants(
-                ideal,
-                use_generic=args.generic,
-                seed=args.seed,
-                t=args.t,
-                bound=args.bound,
-            )
-            doc["methods"]["c"] = _report_json(rep, ring)
-        if args.method in ("gin", "all"):
-            if not char0:
-                if args.method == "gin":
-                    raise CharacteristicError(
-                        "method 'gin' requires characteristic 0"
-                    )
-                notes.append("gin method skipped over %s" % ring.field.name)
-            else:
-                gin_rep = invariants_via_gin(
-                    ideal, t=args.t, seed=args.seed, bound=args.bound
-                )
-                doc["methods"]["gin"] = _report_json(gin_rep, ring)
-        if args.method in ("oracle", "all"):
-            if rep is not None:
-                oracle_ideal = rep.initial_ideal
-            elif monomial is not None:
-                oracle_ideal = monomial
-            else:
-                oracle_ideal = initial_ideal(reduced_groebner_basis(ideal), ring)
-            if monomial is None:
-                notes.append(
-                    "oracle values describe R/in(I), the quotient by the "
-                    "initial ideal"
-                )
-            t_oracle = ring.n if args.t is None else args.t
-            oracle_doc, table = _oracle_json(oracle_ideal, t_oracle)
-            doc["methods"]["oracle"] = oracle_doc
-            if args.betti:
-                doc["betti"] = _betti_json(table)
-                doc["hilbert_numerator"] = hilbert_numerator(oracle_ideal)
-    except FilterRegularityFailure as exc:
-        if args.generic:
-            hint = (
-                "after %d random coordinate changes; %s may be too small "
-                "a field for generic coordinates" % (exc.retries, ring.field.name)
-            )
-        else:
-            hint = "(retry with --generic)"
-        print("mathematical failure: %s %s" % (exc, hint), file=err)
-        return EXIT_MATH
-    except GinAgreementError as exc:
-        print("mathematical failure: %s" % exc, file=err)
-        return EXIT_MATH
-    except CharacteristicError as exc:
-        print("input error: %s" % exc, file=err)
-        return EXIT_INPUT
-
-    if args.betti and "betti" not in doc and monomial is not None:
-        table = betti_table(monomial, field_char=ring.field.characteristic)
-        doc["betti"] = _betti_json(table)
-        doc["hilbert_numerator"] = hilbert_numerator(monomial)
-
+    if args.betti and "oracle" in reports:
+        doc["betti"] = _betti_json(reports["oracle"].betti)
+        doc["hilbert_numerator"] = hilbert_numerator(oracle_ideal)
     if args.method == "all":
-        agree, diffs = _check_agreement(doc["methods"], monomial is not None)
+        agree, diffs = _check_agreement(reports, monomial is not None)
         doc["methods_agree"] = agree
         if diffs:
             doc["method_disagreements"] = diffs
     if notes:
         doc["notes"] = notes
-    if not doc["methods"]:
-        del doc["methods"]
 
     if args.json:
         out.write(emit_json(doc))
     else:
         _print_human(doc, out)
-    if args.method == "all" and not doc["methods_agree"]:
+    if args.method == "all" and not agree:
         print("mathematical failure: methods disagree: %s" % diffs, file=err)
         return EXIT_MATH
     return EXIT_OK
 
 
-def _check_agreement(methods, input_is_monomial):
-    """Compare full reg/a* across the methods that computed them faithfully."""
+def _check_agreement(reports, input_is_monomial):
+    """Compare full reg/a* across the routes that computed them faithfully."""
     diffs = []
     comparable = {}
-    for name, rep in methods.items():
-        if name == "oracle":
-            # oracle describes R/in(I); faithful for the input ideal when the
-            # input was monomial or the c-method needed no generic retry
-            c_rep = methods.get("c")
-            faithful = input_is_monomial or (
-                c_rep is not None and not c_rep.get("generic_retries")
-            )
-            if not faithful:
-                continue
-        if rep.get("t", -1) >= rep.get("dim_quotient", 0):
-            comparable[name] = (rep["reg_quotient"], rep["astar_quotient"])
+    for name, rep in reports.items():
+        # the oracle describes R/in(I); faithful for the input ideal when
+        # the input was monomial or the c route needed no generic retry
+        if name == "oracle" and not (
+            input_is_monomial or not reports["c"].generic_retries
+        ):
+            continue
+        if rep.is_full:
+            comparable[name] = (ext(rep.reg_quotient), ext(rep.astar_quotient))
     names = sorted(comparable)
     for a, b in zip(names, names[1:]):
         if comparable[a] != comparable[b]:

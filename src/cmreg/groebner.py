@@ -43,15 +43,14 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
 
 
-def normal_form(f, basis, _leads=None):
+def normal_form(f, basis):
     """Fully reduce f against basis (nonzero polynomials, tried in order).
 
     Returns r with f - r in (basis) and no term of r divisible by any
     basis leading monomial.  Deterministic: the order-largest reducible
     term is rewritten first.
     """
-    if _leads is None:
-        _leads = [g.leading_term() for g in basis]
+    leads = [g.leading_term() for g in basis]
     ring = f.ring
     remainder = {}
     work = dict(f.coeffs)
@@ -59,7 +58,7 @@ def normal_form(f, basis, _leads=None):
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        for g, (lc, lm) in zip(basis, _leads):
+        for g, (lc, lm) in zip(basis, leads):
             if mono_divides(lm, e):
                 q = mono_div(e, lm)
                 scaled = g.mul_term(c / lc, q)

@@ -13,9 +13,21 @@ from .orders import m_index, mono_divides
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+
+class InputError(ValueError):
+    """The input is outside what a route can answer: a bad file, a wrong
+    field, an out-of-range cutoff t, the unit ideal, or the oracle's scope."""
+
+
+class MathematicalFailure(RuntimeError):
+    """A route could not certify an answer for a valid input."""
+
+
 __all__ = [
     "NEG_INF",
     "POS_INF",
+    "InputError",
+    "MathematicalFailure",
     "MonomialIdeal",
     "minimalize",
     "hilbert_numerator",
@@ -74,12 +86,6 @@ class MonomialIdeal:
         if len(mono) != self.n:
             raise ValueError("monomial from a different ring")
         return any(mono_divides(g, mono) for g in self.gens)
-
-    def max_generator_degree(self):
-        """d(J): the largest degree of a minimal generator; -inf if J = 0."""
-        if not self.gens:
-            return NEG_INF
-        return max(sum(g) for g in self.gens)
 
     def set_vars_zero(self, i):
         """Substitute the last i variables by 0; result lives in n-i variables."""
@@ -245,13 +251,13 @@ def krull_dimension(J):
     return J.n - mult
 
 
-def is_borel_fixed(J, check_characteristic=True):
+def is_borel_fixed(J):
     """Single-step exchange criterion for Borel-fixedness (char 0 only).
 
     True iff for every minimal generator x^A, every j with A_j > 0 and
     every i < j, the exchange x^A x_i / x_j stays in J.
     """
-    if check_characteristic and J.ring.field.characteristic != 0:
+    if J.ring.field.characteristic != 0:
         raise ValueError("Borel-fixedness criterion requires characteristic 0")
     for g in J.gens:
         for j in range(J.n):

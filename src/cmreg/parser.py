@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 from .fields import QQ, PrimeField
 from .groebner import Ideal
+from .monomial_ideals import InputError
 from .rings import PolynomialRing
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message, line, col=None):
         self.line = line
         self.col = col
@@ -33,7 +34,6 @@ class ParseError(ValueError):
 class InputDocument:
     ring: PolynomialRing
     generators: list
-    raw_polynomials: list
 
     def ideal(self):
         return Ideal(self.ring, self.generators)
@@ -211,7 +211,6 @@ def parse_input(text):
     ring = PolynomialRing(names, field)
     var_index = {name: i for i, name in enumerate(names)}
     generators = []
-    raw = []
     for lineno, line in it:
         tokens = _tokenize(line, lineno)
         poly = _PolyParser(ring, var_index, tokens, lineno).parse()
@@ -225,5 +224,4 @@ def parse_input(text):
             )
         if not poly.is_zero():
             generators.append(poly)
-            raw.append(line)
-    return InputDocument(ring=ring, generators=generators, raw_polynomials=raw)
+    return InputDocument(ring=ring, generators=generators)

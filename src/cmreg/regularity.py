@@ -16,16 +16,21 @@ The second route computes the generic initial ideal Gin(I) by Monte
 Carlo (two agreeing random coordinate changes plus a Borel-fixedness
 certificate) and reads the invariants off the degrees and top variable
 indices of Min(Gin).
+
+The third route reads them off the graded Betti table of a monomial ideal.
 """
 
 import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .betti import BettiTable, betti_table, invariants_from_betti
 from .groebner import Ideal, initial_ideal, reduced_groebner_basis
 from .monomial_ideals import (
     NEG_INF,
     POS_INF,
+    InputError,
+    MathematicalFailure,
     MonomialIdeal,
     is_borel_fixed,
     krull_dimension,
@@ -34,8 +39,11 @@ from .monomial_ideals import (
 )
 from .rings import apply_linear_change, matrix_is_invertible
 
+RETRY_CAP = 5  # random coordinate changes before the c route gives up
+DRAW_CAP = 8  # random draws before the Gin route gives up
 
-class FilterRegularityFailure(Exception):
+
+class FilterRegularityFailure(MathematicalFailure):
     """Some c_i = +inf: variable i fails filter-regularity.
 
     `retries` is the number of random coordinate changes tried before
@@ -51,11 +59,11 @@ class FilterRegularityFailure(Exception):
         )
 
 
-class CharacteristicError(ValueError):
+class CharacteristicError(InputError):
     """A characteristic-0-only method was requested over a prime field."""
 
 
-class GinAgreementError(RuntimeError):
+class GinAgreementError(MathematicalFailure):
     """Random draws did not stabilize within the draw cap."""
 
     def __init__(self, candidates, draws):
@@ -72,14 +80,17 @@ class GinResult:
     gin: MonomialIdeal
     draws_agreed: int
     borel_certified: bool
-    matrices_seed: int
     draws_total: int
 
 
 @dataclass
 class RegularityReport:
+    """The invariants at cutoff t.  The c and Gin routes put reg_t and a*_t
+    in reg_quotient and astar_quotient; the oracle (c is None) puts the full
+    reg and a* there and reg_t, a*_t in reg_t_quotient, astar_t_quotient."""
+
     t: int
-    c: tuple
+    c: Optional[tuple]
     reg_ideal: object
     astar_ideal: object
     reg_quotient: object
@@ -88,12 +99,23 @@ class RegularityReport:
     method: str
     initial_ideal: Optional[MonomialIdeal] = None
     gin: Optional[GinResult] = None
-    seed: Optional[int] = None
     generic_retries: int = 0
+    betti: Optional[BettiTable] = None
+    reg_t_quotient: object = None
+    astar_t_quotient: object = None
+    max_generator_degree: object = None
 
     @property
     def is_full(self):
         return self.t >= self.dim_quotient
+
+
+def _check_input(J, t):
+    """Refuse the unit ideal and a cutoff t outside [0, n] (None passes)."""
+    if t is not None and not 0 <= t <= J.n:
+        raise InputError("t must be in [0, %d]" % J.n)
+    if J.is_unit():
+        raise InputError("the unit ideal has no regularity invariants")
 
 
 def _initial_of(I):
@@ -113,10 +135,7 @@ def c_invariants(I, t):
     """
     J = _initial_of(I)
     n = J.n
-    if not 0 <= t <= n:
-        raise ValueError("t must be in [0, %d]" % n)
-    if J.is_unit():
-        raise ValueError("the unit ideal has no regularity invariants")
+    _check_input(J, t)
     values = []
     for i in range(min(t, n - 1) + 1):
         J_i = J.set_vars_zero(i)
@@ -135,6 +154,11 @@ def invariants_from_c(c_values, t, nonzero_ideal=True):
             raise FilterRegularityFailure(i)
     reg_q = max(window, default=NEG_INF)
     astar_q = max((v - i for i, v in enumerate(window)), default=NEG_INF)
+    return _with_ideal_side(reg_q, astar_q, nonzero_ideal)
+
+
+def _with_ideal_side(reg_q, astar_q, nonzero_ideal):
+    """(reg(I), a*(I), reg(R/I), a*(R/I)) from the quotient's values."""
     if nonzero_ideal:
         return reg_q + 1, astar_q, reg_q, astar_q
     return NEG_INF, NEG_INF, reg_q, astar_q
@@ -158,7 +182,7 @@ def transform_ideal(I, rows):
     return Ideal(I.ring, [apply_linear_change(g, rows) for g in gens])
 
 
-def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5):
+def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
     """Regularity report for a proper homogeneous ideal.
 
     Computes c-invariants at t = dim(R/I) (where the maxima stabilize,
@@ -169,8 +193,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
     each random change g.
     """
     J0 = _initial_of(I)
-    if J0.is_unit():
-        raise ValueError("the unit ideal has no regularity invariants")
+    _check_input(J0, t)
     dim = krull_dimension(J0)
     t_eff = dim if t is None else t
     nonzero = bool(J0.gens)
@@ -185,7 +208,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
             )
             break
         except FilterRegularityFailure as exc:
-            if not use_generic or retries >= retry_cap:
+            if not use_generic or retries >= RETRY_CAP:
                 exc.retries = retries
                 raise
             retries += 1
@@ -201,12 +224,11 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000, retry_cap=5
         dim_quotient=dim,
         method="c",
         initial_ideal=J0,
-        seed=seed,
         generic_retries=retries,
     )
 
 
-def generic_initial_ideal(I, seed=0, bound=1000, draw_cap=8):
+def generic_initial_ideal(I, seed=0, bound=1000):
     """Gin(I) by Monte Carlo: accept when two independent random
     coordinate changes give the same initial ideal and it is Borel-fixed."""
     ring = I.ring
@@ -217,7 +239,7 @@ def generic_initial_ideal(I, seed=0, bound=1000, draw_cap=8):
     rng = random.Random(seed)
     seen = {}
     draws = 0
-    while draws < draw_cap:
+    while draws < DRAW_CAP:
         m = random_invertible_matrix(rng, ring.n, ring.field, bound)
         J = _initial_of(transform_ideal(I, m))
         draws += 1
@@ -227,25 +249,23 @@ def generic_initial_ideal(I, seed=0, bound=1000, draw_cap=8):
                 gin=J,
                 draws_agreed=seen[J],
                 borel_certified=True,
-                matrices_seed=seed,
                 draws_total=draws,
             )
     raise GinAgreementError(list(seen), draws)
 
 
-def invariants_via_gin(I, t=None, seed=0, bound=1000, draw_cap=8):
+def invariants_via_gin(I, t=None, seed=0, bound=1000):
     """Regularity report read off the minimal generators of Gin(I).
 
     c_i = max{deg x^A : x^A in Min(Gin), m(x^A) = n - i} - 1, so that
     reg_t(I) is the largest generator degree over m(x^A) >= n - t and
     a*_t(I) the largest deg + m over the same range, shifted by n + 1.
     """
-    result = generic_initial_ideal(I, seed=seed, bound=bound, draw_cap=draw_cap)
+    result = generic_initial_ideal(I, seed=seed, bound=bound)
     gin = result.gin
+    _check_input(gin, t)
     n = gin.n
     t_eff = n if t is None else t
-    if not 0 <= t_eff <= n:
-        raise ValueError("t must be in [0, %d]" % n)
     c = []
     for i in range(min(t_eff, n - 1) + 1):
         degs = [sum(g) for g in gin.gens if m_index(g) == n - i]
@@ -266,5 +286,31 @@ def invariants_via_gin(I, t=None, seed=0, bound=1000, draw_cap=8):
         dim_quotient=krull_dimension(gin),
         method="gin",
         gin=result,
-        seed=seed,
+    )
+
+
+def invariants_via_betti(J, t=None):
+    """Regularity report of a monomial ideal J read off the Betti table of
+    S/J in the characteristic of J's field, with reg_t and a*_t at t
+    (default n).  Raises OracleScopeError beyond the oracle's scope."""
+    _check_input(J, t)
+    t_eff = J.n if t is None else t
+    table = betti_table(J)
+    inv = invariants_from_betti(table, t=t_eff)
+    reg_i, astar_i, reg_q, astar_q = _with_ideal_side(
+        inv["reg"], inv["astar"], bool(J.gens)
+    )
+    return RegularityReport(
+        t=t_eff,
+        c=None,
+        reg_ideal=reg_i,
+        astar_ideal=astar_i,
+        reg_quotient=reg_q,
+        astar_quotient=astar_q,
+        dim_quotient=krull_dimension(J),
+        method="oracle",
+        betti=table,
+        reg_t_quotient=inv["reg_t"],
+        astar_t_quotient=inv["astar_t"],
+        max_generator_degree=inv["d"],
     )

@@ -53,14 +53,11 @@ class PolynomialRing:
         e[i] = 1
         return self.monomial(tuple(e))
 
-    def monomial(self, exps, coeff=1):
+    def monomial(self, exps):
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector %r" % (exps,))
-        c = self.field(coeff) if isinstance(coeff, int) else coeff
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {exps: c})
+        return Polynomial(self, {exps: self.field.one})
 
     def from_terms(self, terms):
         """Build a polynomial from (coeff, exps) pairs, collecting duplicates."""

@@ -8,9 +8,11 @@ import pytest
 from cmreg import (
     MonomialIdeal,
     PolynomialRing,
+    PrimeField,
     betti_table,
     hilbert_numerator,
     invariants_from_betti,
+    invariants_via_betti,
     krull_dimension,
 )
 from cmreg.betti import (
@@ -166,6 +168,20 @@ class TestBettiTable:
             assert betti_table(J).entries == betti_table(J, field_char=32003).entries
             done += 1
 
+    def test_characteristic_defaults_to_the_field(self):
+        # the Stanley-Reisner ideal of the 6-vertex real projective plane:
+        # reg(S/J) is 3 over GF(2) and 2 in characteristic 0
+        R = PolynomialRing(["x%d" % i for i in range(1, 7)], field=PrimeField(2))
+        nonfaces = [
+            (1, 2, 4), (1, 2, 5), (1, 3, 5), (1, 3, 6), (1, 4, 6),
+            (2, 3, 4), (2, 3, 6), (2, 5, 6), (3, 4, 5), (4, 5, 6),
+        ]
+        J = MonomialIdeal.from_generators(
+            R, [tuple(int(v in face) for v in range(1, 7)) for face in nonfaces]
+        )
+        assert invariants_from_betti(betti_table(J))["reg"] == 3
+        assert invariants_from_betti(betti_table(J, field_char=0))["reg"] == 2
+
 
 class TestInvariantsFromBetti:
     def test_partial_thresholds(self, curve_initial):
@@ -188,3 +204,18 @@ class TestInvariantsFromBetti:
     def test_reports_max_generator_degree(self, curve_initial):
         inv = invariants_from_betti(betti_table(curve_initial))
         assert inv["d"] == 3
+
+    def test_invariants_via_betti_reads_the_table(self, curve_initial):
+        T = betti_table(curve_initial)
+        for t in range(curve_initial.n + 1):
+            inv = invariants_from_betti(T, t=t)
+            rep = invariants_via_betti(curve_initial, t)
+            assert rep.betti.entries == T.entries
+            assert (rep.reg_quotient, rep.astar_quotient) == (inv["reg"], inv["astar"])
+            assert (rep.reg_t_quotient, rep.astar_t_quotient) == (
+                inv["reg_t"],
+                inv["astar_t"],
+            )
+            assert rep.max_generator_degree == inv["d"]
+            assert (rep.reg_ideal, rep.astar_ideal) == (inv["reg"] + 1, inv["astar"])
+            assert rep.c is None and rep.t == t

@@ -1,0 +1,39 @@
+"""The CLI's JSON, byte for byte, on fixed inputs.
+
+tests/golden/NAME.json is the `--json` stdout of `cmreg compute` on
+tests/golden/NAME.ideal with the arguments listed here.  A change that
+alters one of these files changes the output schema or an answer.
+"""
+
+import io
+import os
+
+import pytest
+
+from cmreg.cli import EXIT_OK, run
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+ALL_ROUTES = ["--method", "all", "--seed", "7", "--betti"]
+ORACLE = ["--method", "oracle", "--betti"]
+
+GOLDEN = {
+    # the three fixtures of acceptance criterion 9
+    "quartic-curve": ALL_ROUTES,
+    "frf-witness": ALL_ROUTES,
+    "monomial": ALL_ROUTES,
+    # the Stanley-Reisner ideal of the 6-vertex real projective plane
+    "rp2-qq": ORACLE,
+    "rp2-gf2": ORACLE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_matches_golden(name):
+    path = os.path.join(GOLDEN_DIR, name + ".ideal")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["compute", "--input", path, "--json"] + GOLDEN[name], out=out, err=err)
+    assert code == EXIT_OK
+    assert err.getvalue() == ""
+    with open(os.path.join(GOLDEN_DIR, name + ".json"), encoding="utf-8") as fh:
+        assert out.getvalue() == fh.read()

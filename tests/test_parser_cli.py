@@ -356,3 +356,55 @@ class TestOneInitialIdeal:
         methods = self.run_json(tmp_path, CURVE_FILE, "all")
         assert "generic_retries" not in methods["c"]
         assert len(gb_calls) == 1 + methods["gin"]["gin_draws_total"]
+
+
+NINE_VARIABLE_FILE = """\
+ring: x1 x2 x3 x4 x5 x6 x7 x8 x9
+field: QQ
+ideal:
+x1*x2
+x9^2
+"""
+
+
+class TestRefusals:
+    """Every refusal exits 2 with "input error" and no traceback."""
+
+    def refused(self, tmp_path, text, argv):
+        p = tmp_path / "in.ideal"
+        p.write_text(text)
+        code, out, err = run_cli(["compute", "--input", str(p)] + argv)
+        assert code == EXIT_INPUT
+        assert "input error" in err
+        assert "Traceback" not in err
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("method", ["c", "gin", "oracle"])
+    @pytest.mark.parametrize("t", ["-1", "4"])
+    def test_cutoff_out_of_range(self, tmp_path, method, t):
+        err = self.refused(tmp_path, MONOMIAL_FILE, ["--method", method, "--t", t])
+        assert "[0, 3]" in err
+
+    @pytest.mark.parametrize("method", ["c", "gin", "oracle"])
+    def test_unit_ideal(self, tmp_path, method):
+        text = "ring: x y\nfield: QQ\nideal:\n1\n"
+        err = self.refused(tmp_path, text, ["--method", method])
+        assert "unit ideal" in err
+
+    def test_oracle_scope(self, tmp_path):
+        err = self.refused(tmp_path, NINE_VARIABLE_FILE, ["--method", "oracle"])
+        assert "8 variables" in err
+
+    def test_out_of_scope_oracle_is_skipped_under_all(self, tmp_path):
+        p = tmp_path / "in.ideal"
+        p.write_text(NINE_VARIABLE_FILE)
+        code, out, err = run_cli(
+            ["compute", "--input", str(p), "--method", "all", "--json"]
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        doc = json.loads(out)
+        assert set(doc["methods"]) == {"c", "gin"}
+        assert doc["methods_agree"] is True
+        assert any("oracle" in note and "8 variables" in note for note in doc["notes"])
