@@ -120,6 +120,8 @@ def _print_human(doc, out):
         show("betti", " ".join("b[%d,%d]=%d" % tuple(e) for e in doc["betti"]))
     if "hilbert_numerator" in doc:
         show("hilbert numerator", doc["hilbert_numerator"])
+    for note in doc.get("notes", ()):
+        show("note", note)
 
 
 def build_parser():

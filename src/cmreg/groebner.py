@@ -1,10 +1,28 @@
 """Buchberger's algorithm: reduced Groebner bases and initial ideals.
 
-Pair selection follows the normal strategy (smallest lcm in the active
-order first); the coprime-lead and chain criteria prune useless pairs.
-The final basis is inter-reduced and monic, hence unique for the ideal
-and order.
+Pair selection follows the normal strategy: the open pair whose lcm is
+smallest in degrevlex comes first, ties broken by the pair's indices.  The
+open pairs sit in a heap keyed that way, so each pair's lcm is computed
+once.  The coprime-lead and chain criteria prune useless pairs.  The final
+basis is inter-reduced and monic, hence unique for the ideal and order.
+
+Normal forms run on an exact integer kernel.  A monomial x^e is held as
+the tuple (-deg e, e_n, ..., e_1): multiplying monomials adds these tuples
+entry by entry, and the smallest tuple is the degrevlex-largest monomial.
+The terms still to reduce sit in a heap of such tuples, so each term's
+order key is built once; a term that cancels stays in the heap and is
+skipped when popped.  Over QQ the kernel is fraction-free: each basis
+element reduces through its primitive integer multiple, a reduction step
+multiplies what is left by lc / gcd(lc, c) instead of dividing by lc, and
+the product of these factors (the scale) is divided out of the remainder
+at the end through ``field(num, den)``.  The remainder is therefore exactly
+the one field arithmetic gives, not a multiple of it.  Over GF(p) the
+kernel works on residues mod p, with each basis element made monic.
 """
+
+from heapq import heapify, heappop, heappush
+from math import gcd, inf, lcm
+from operator import add, le, sub
 
 from .monomial_ideals import MonomialIdeal
 from .orders import (
@@ -13,6 +31,7 @@ from .orders import (
     mono_divides,
     mono_lcm,
 )
+from .rings import Polynomial, RingMismatchError
 
 
 class NonHomogeneousError(ValueError):
@@ -43,54 +62,133 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.generators)
 
 
+def _key(e):
+    """The kernel's form of the monomial x^e: (-deg e, e_n, ..., e_1)."""
+    return (-sum(e),) + e[::-1]
+
+
+def _exps(k):
+    """The exponent vector of a monomial in the kernel's form."""
+    return k[:0:-1]
+
+
+def _integers(coeffs, p):
+    """(den, {e: c * den}) with integer values: over GF(p) the residues,
+    with den 1; over QQ the numerators over the least common denominator."""
+    if p:
+        return 1, {e: c.val for e, c in coeffs.items()}
+    den = lcm(*(int(c.denominator) for c in coeffs.values()))
+    return den, {e: int(c.numerator) * (den // int(c.denominator)) for e, c in coeffs.items()}
+
+
+def _reducer(g):
+    """g in the kernel's form, kept on g: (divisibility pattern, lead
+    monomial, lead coefficient, tail).
+
+    Over QQ the coefficients are those of g's primitive integer multiple
+    with positive lead; over GF(p) they are the residues of g / lc(g), so
+    the lead coefficient is 1.  The pattern is the lead monomial with its
+    degree slot at -inf, so that it is <= a monomial entry by entry exactly
+    when the lead divides it.
+    """
+    if g._reducer is None:
+        lm = g.leading_monomial()
+        p = g.ring.field.characteristic
+        ints = _integers(g.coeffs, p)[1]
+        if p:
+            inv = pow(ints[lm], -1, p)
+            ints = {e: v * inv % p for e, v in ints.items()}
+        else:
+            content = gcd(*ints.values())
+            if ints[lm] < 0:
+                content = -content
+            ints = {e: v // content for e, v in ints.items()}
+        lead = _key(lm)
+        tail = tuple((_key(e), v) for e, v in ints.items() if e != lm)
+        g._reducer = ((-inf,) + lead[1:], lead, ints[lm], tail)
+    return g._reducer
+
+
 def normal_form(f, basis):
     """Fully reduce f against basis (nonzero polynomials, tried in order).
 
     Returns r with f - r in (basis) and no term of r divisible by any
     basis leading monomial.  Deterministic: the order-largest reducible
-    term is rewritten first.
+    term is rewritten first, by the first basis element whose lead
+    divides it.  The result is the one exact field arithmetic gives;
+    the reduction itself runs on integers (see the module docstring).
     """
-    leads = [g.leading_term() for g in basis]
     ring = f.ring
-    remainder = {}
-    work = dict(f.coeffs)
-    key = ring.key
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for g, (lc, lm) in zip(basis, leads):
-            if mono_divides(lm, e):
-                q = mono_div(e, lm)
-                scaled = g.mul_term(c / lc, q)
-                # subtract; the leading terms cancel by construction
-                zero = ring.field.zero
-                for e2, c2 in scaled.coeffs.items():
-                    if e2 == e:
-                        continue
-                    acc = work.get(e2, zero) - c2
-                    if acc == zero:
-                        work.pop(e2, None)
+    field = ring.field
+    p = field.characteristic
+    reducers = [_reducer(g) for g in basis]
+    den, ints = _integers(f.coeffs, p)
+    work = {_key(e): v for e, v in ints.items()}
+    # work / (den * scale) is the polynomial still to reduce, and each
+    # remainder term keeps the scale at which it left work
+    heap = list(work)
+    heapify(heap)
+    scale = 1
+    remainder = []
+    while heap:
+        k = heappop(heap)
+        c = work.pop(k, 0)
+        if not c:
+            continue  # cancelled, or a second heap entry of a done term
+        for pattern, lead, lc, tail in reducers:
+            if all(map(le, pattern, k)):
+                h = gcd(lc, c)
+                if h != lc:
+                    m = lc // h
+                    for t in work:
+                        work[t] *= m
+                    scale *= m
+                c //= h
+                q = tuple(map(sub, k, lead))
+                for tk, tc in tail:
+                    t = tuple(map(add, q, tk))
+                    v = work.get(t)
+                    if v is None:
+                        v = -c * tc
+                        heappush(heap, t)
                     else:
-                        work[e2] = acc
+                        v -= c * tc
+                    if p:
+                        v %= p
+                    if v:
+                        work[t] = v
+                    else:
+                        work.pop(t, None)
                 break
         else:
-            remainder[e] = c
-    from .rings import Polynomial
-
-    return Polynomial(ring, remainder)
+            remainder.append((k, c, scale))
+    return Polynomial(
+        ring, {_exps(k): field(c, den * s) for k, c, s in remainder}
+    )
 
 
 def s_polynomial(f, g):
     """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g; leading terms cancel."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial")
-    cf, mf = f.leading_term()
-    cg, mg = g.leading_term()
-    lcm = mono_lcm(mf, mg)
-    one = f.ring.field.one
-    return f.mul_term(one / cf, mono_div(lcm, mf)) - g.mul_term(
-        one / cg, mono_div(lcm, mg)
-    )
+    if f.ring != g.ring:
+        raise RingMismatchError("polynomials from different rings")
+    f, g = f.monic(), g.monic()
+    mf, mg = f.leading_monomial(), g.leading_monomial()
+    lcm_fg = mono_lcm(mf, mg)
+    qf = mono_div(lcm_fg, mf)
+    qg = mono_div(lcm_fg, mg)
+    zero = f.ring.field.zero
+    coeffs = {tuple(map(add, e, qf)): c for e, c in f.coeffs.items() if e != mf}
+    for e, c in g.coeffs.items():
+        if e != mg:
+            t = tuple(map(add, e, qg))
+            v = coeffs.get(t, zero) - c
+            if v == zero:
+                coeffs.pop(t, None)
+            else:
+                coeffs[t] = v
+    return Polynomial(f.ring, coeffs)
 
 
 def buchberger(generators):
@@ -98,21 +196,25 @@ def buchberger(generators):
     G = [g.monic() for g in generators if not g.is_zero()]
     if not G:
         return []
-    ring = G[0].ring
-    key = ring.key
+    key = G[0].ring.key
     leads = [g.leading_monomial() for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    # open pairs (i, j), i < j, popped by (key of their lcm, i, j)
+    pairs = set()
+    heap = []
 
-    def lcm_of(p):
-        return mono_lcm(leads[p[0]], leads[p[1]])
+    def add_pairs(j):
+        for i in range(j):
+            lcm_ij = mono_lcm(leads[i], leads[j])
+            heappush(heap, (key(lcm_ij), i, j, lcm_ij))
+            pairs.add((i, j))
 
-    while pairs:
-        pair = min(pairs, key=lambda p: (key(lcm_of(p)), p))
-        pairs.discard(pair)
-        i, j = pair
+    for j in range(1, len(G)):
+        add_pairs(j)
+    while heap:
+        _, i, j, lcm_ij = heappop(heap)
+        pairs.discard((i, j))
         if mono_coprime(leads[i], leads[j]):
             continue
-        lcm_ij = lcm_of(pair)
         # chain criterion: some k with lead_k | lcm and both side pairs done
         if any(
             k != i
@@ -126,10 +228,9 @@ def buchberger(generators):
         s = normal_form(s_polynomial(G[i], G[j]), G)
         if not s.is_zero():
             s = s.monic()
-            new = len(G)
             G.append(s)
             leads.append(s.leading_monomial())
-            pairs.update((m, new) for m in range(new))
+            add_pairs(len(G) - 1)
     return G
 
 

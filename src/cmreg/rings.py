@@ -6,6 +6,8 @@ exponent tuples to nonzero coefficients, exposed as a term list sorted
 descending in degrevlex.
 """
 
+from functools import lru_cache
+
 from .fields import QQ
 from .linalg import rank
 from .orders import degrevlex_key
@@ -116,12 +118,17 @@ def _check_same_ring(f, g):
 class Polynomial:
     """An element of a PolynomialRing; immutable."""
 
-    __slots__ = ("ring", "coeffs", "_terms")
+    # _terms, _lead and _reducer are computed on first use and kept, which
+    # is safe because a Polynomial never changes; _reducer holds the
+    # integer form that groebner's normal-form kernel reduces with
+    __slots__ = ("ring", "coeffs", "_terms", "_lead", "_reducer")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = coeffs
         self._terms = None
+        self._lead = None
+        self._reducer = None
 
     @property
     def terms(self):
@@ -138,10 +145,12 @@ class Polynomial:
         return not self.coeffs
 
     def leading_term(self):
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.coeffs, key=self.ring.key)
-        return self.coeffs[e], e
+        if self._lead is None:
+            if not self.coeffs:
+                raise ValueError("the zero polynomial has no leading term")
+            e = max(self.coeffs, key=self.ring.key)
+            self._lead = self.coeffs[e], e
+        return self._lead
 
     def leading_monomial(self):
         return self.leading_term()[1]
@@ -216,15 +225,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {e: k * c for e, k in self.coeffs.items()})
 
-    def mul_term(self, c, exps):
-        """Multiply by the term c * x^exps."""
-        if c == self.ring.field.zero:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, exps)): k * c for e, k in self.coeffs.items()},
-        )
-
     def monic(self):
         if not self.coeffs:
             return self
@@ -275,11 +275,21 @@ def _is_negative(c):
 
 
 def matrix_is_invertible(field, rows):
-    """Exact invertibility test of a square integer matrix over the field."""
+    """Exact invertibility test of a square integer matrix over the field.
+
+    The answers for the last few matrices are kept, so that a coordinate
+    change drawn by `random_invertible_matrix` and then applied to every
+    generator of an ideal costs one rank computation.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    return rank(rows, field.characteristic) == n
+    return _full_rank(field.characteristic, tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=8)
+def _full_rank(characteristic, rows):
+    return rank(rows, characteristic) == len(rows)
 
 
 def apply_linear_change(f, rows):

@@ -242,6 +242,13 @@ class TestCli:
         assert "gin" not in doc["methods"]
         assert any("gin" in note for note in doc["notes"])
 
+    def test_human_output_shows_notes(self, tmp_path):
+        p = tmp_path / "p.ideal"
+        p.write_text("ring: x y\nfield: GF(7)\nideal:\nx^2\n")
+        code, out, _ = run_cli(["compute", "--input", str(p), "--method", "all"])
+        assert code == EXIT_OK
+        assert "note: gin method skipped over GF(7)" in out.splitlines()
+
     def test_filter_failure_without_generic(self, tmp_path):
         p = tmp_path / "frf.ideal"
         p.write_text(FRF_FILE)

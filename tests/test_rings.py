@@ -12,6 +12,9 @@ from cmreg.orders import (
     mono_divides,
     mono_lcm,
 )
+import cmreg.rings
+from cmreg.linalg import rank
+from cmreg.regularity import random_invertible_matrix, transform_ideal
 from cmreg.rings import matrix_is_invertible
 
 from conftest import monomials_of_degree
@@ -181,6 +184,27 @@ class TestLinearChange:
                 ]
                 lhs = apply_linear_change(apply_linear_change(f, g), h)
                 assert lhs == apply_linear_change(f, gh)
+
+    def test_one_rank_per_coordinate_change(self, monkeypatch, curve_ideal):
+        # random_invertible_matrix tests its draw, and transform_ideal
+        # applies it to 4 generators: only the first test computes a rank
+        ranks = []
+
+        def counted(rows, characteristic):
+            ranks.append(rows)
+            return rank(rows, characteristic)
+
+        monkeypatch.setattr(cmreg.rings, "rank", counted)
+        cmreg.rings._full_rank.cache_clear()
+        m = random_invertible_matrix(random.Random(3), 4, QQ)
+        transform_ideal(curve_ideal, m)
+        assert len(ranks) == 1
+        # the cache is keyed by the characteristic too
+        assert matrix_is_invertible(PrimeField(2), [[1, 1], [1, 0]])
+        assert not matrix_is_invertible(PrimeField(2), [[1, 1], [1, 1]])
+        assert not matrix_is_invertible(QQ, [[2, 2], [1, 1]])
+        assert matrix_is_invertible(QQ, [[2, 0], [0, 1]])
+        assert not matrix_is_invertible(PrimeField(2), [[2, 0], [0, 1]])
 
 
 def _random_invertible(rng, n):
