@@ -3,7 +3,12 @@
 Rational arithmetic uses gmpy2.mpq when available (much faster than
 fractions.Fraction); both keep values in lowest terms with positive
 denominator automatically.
+
+No other module reads a value's representation: `field.integers` gives
+values in integer form, and `field(num, den)` is the way back.
 """
+
+from math import lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -25,6 +30,12 @@ class RationalField:
         if den == 0:
             raise FieldError("zero denominator")
         return _mpq(num, den)
+
+    def integers(self, coeffs):
+        """(den, {e: c * den}) for a dict of values: the numerators over
+        their least common denominator."""
+        den = lcm(*(int(c.denominator) for c in coeffs.values()))
+        return den, {e: int(c.numerator) * (den // int(c.denominator)) for e, c in coeffs.items()}
 
     @property
     def zero(self):
@@ -170,6 +181,10 @@ class PrimeField:
         if den != 1:
             e = e / den
         return e
+
+    def integers(self, coeffs):
+        """(1, {e: residue of c}) for a dict of values."""
+        return 1, {e: c.val for e, c in coeffs.items()}
 
     @property
     def zero(self):

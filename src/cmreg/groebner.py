@@ -21,7 +21,7 @@ kernel works on residues mod p, with each basis element made monic.
 """
 
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import add, le, sub
 
 from .monomial_ideals import MonomialIdeal
@@ -54,6 +54,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
+        self._initials = {}  # change of coordinates g -> in(g I), see regularity
 
     def is_zero(self):
         return not self.generators
@@ -72,15 +73,6 @@ def _exps(k):
     return k[:0:-1]
 
 
-def _integers(coeffs, p):
-    """(den, {e: c * den}) with integer values: over GF(p) the residues,
-    with den 1; over QQ the numerators over the least common denominator."""
-    if p:
-        return 1, {e: c.val for e, c in coeffs.items()}
-    den = lcm(*(int(c.denominator) for c in coeffs.values()))
-    return den, {e: int(c.numerator) * (den // int(c.denominator)) for e, c in coeffs.items()}
-
-
 def _reducer(g):
     """g in the kernel's form, kept on g: (divisibility pattern, lead
     monomial, lead coefficient, tail).
@@ -94,7 +86,7 @@ def _reducer(g):
     if g._reducer is None:
         lm = g.leading_monomial()
         p = g.ring.field.characteristic
-        ints = _integers(g.coeffs, p)[1]
+        ints = g.ring.field.integers(g.coeffs)[1]
         if p:
             inv = pow(ints[lm], -1, p)
             ints = {e: v * inv % p for e, v in ints.items()}
@@ -122,7 +114,7 @@ def normal_form(f, basis):
     field = ring.field
     p = field.characteristic
     reducers = [_reducer(g) for g in basis]
-    den, ints = _integers(f.coeffs, p)
+    den, ints = field.integers(f.coeffs)
     work = {_key(e): v for e, v in ints.items()}
     # work / (den * scale) is the polynomial still to reduce, and each
     # remainder term keeps the scale at which it left work

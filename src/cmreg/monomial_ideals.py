@@ -55,12 +55,14 @@ def minimalize(gens):
 class MonomialIdeal:
     """A monomial ideal by its minimal generators, canonically sorted."""
 
-    __slots__ = ("ring", "gens")
+    # _initials maps a change of coordinates to in(g J), filled by regularity
+    __slots__ = ("ring", "gens", "_initials")
 
     def __init__(self, ring, gens):
         # gens assumed already minimal; use from_generators otherwise
         self.ring = ring
         self.gens = tuple(sorted(gens, key=ring.key, reverse=True))
+        self._initials = {}
 
     @classmethod
     def from_generators(cls, ring, gens):
@@ -238,17 +240,15 @@ def krull_dimension(J):
     """dim(S/J) = n minus the multiplicity of t = 1 in the numerator."""
     if J.is_unit():
         return -1  # the zero ring, by convention
-    num = hilbert_numerator(J)
-    mult = 0
-    while True:
-        q = divide_by_one_minus_t(num)
-        if q is None:
-            break
-        num = q
-        mult += 1
-        if not num:
-            break
-    return J.n - mult
+    return J.n - _one_minus_t_power(hilbert_numerator(J))[0]
+
+
+def _one_minus_t_power(num):
+    """(k, q) with num = (1-t)^k q and (1-t) not dividing q; (0, []) for 0."""
+    k = 0
+    while num and (q := divide_by_one_minus_t(num)) is not None:
+        num, k = q, k + 1
+    return k, num
 
 
 def is_borel_fixed(J):
@@ -303,19 +303,9 @@ def hilbert_function(J, m):
 
 def hilbert_polynomial_value(J, m):
     """Value at m of the Hilbert polynomial of S/J."""
-    num = hilbert_numerator(J)
-    n = J.n
     # strip the full power of (1-t): N = (1-t)^(n-d) * reduced numerator
-    reduced = list(num)
-    d = n
-    while True:
-        q = divide_by_one_minus_t(reduced)
-        if q is None:
-            break
-        reduced = q
-        d -= 1
-        if not reduced:
-            break
+    k, reduced = _one_minus_t_power(hilbert_numerator(J))
+    d = J.n - k
     if d <= 0 or not reduced:
         return 0
     total = 0

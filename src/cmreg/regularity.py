@@ -126,6 +126,15 @@ def _initial_of(I):
     return initial_ideal(gb, I.ring)
 
 
+def _initial_in(I, rows):
+    """in(g I) for the change of coordinates g given by rows, kept on I for
+    the run: under --method all the Gin draws repeat the c route's retries."""
+    key = tuple(map(tuple, rows))
+    if key not in I._initials:
+        I._initials[key] = _initial_of(transform_ideal(I, rows))
+    return I._initials[key]
+
+
 def c_invariants(I, t):
     """The substitution invariants c_0, ..., c_t of in(I).
 
@@ -213,7 +222,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
                 raise
             retries += 1
             m = random_invertible_matrix(rng, I.ring.n, I.ring.field, bound)
-            J = _initial_of(transform_ideal(I, m))
+            J = _initial_in(I, m)
     return RegularityReport(
         t=t_eff,
         c=c,
@@ -241,7 +250,7 @@ def generic_initial_ideal(I, seed=0, bound=1000):
     draws = 0
     while draws < DRAW_CAP:
         m = random_invertible_matrix(rng, ring.n, ring.field, bound)
-        J = _initial_of(transform_ideal(I, m))
+        J = _initial_in(I, m)
         draws += 1
         seen[J] = seen.get(J, 0) + 1
         if seen[J] >= 2 and is_borel_fixed(J):

@@ -7,6 +7,7 @@ descending in degrevlex.
 """
 
 from functools import lru_cache
+from operator import add
 
 from .fields import QQ
 from .linalg import rank
@@ -193,16 +194,7 @@ class Polynomial:
         return Polynomial(self.ring, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        _check_same_ring(self, other)
-        zero = self.ring.field.zero
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc = coeffs.get(e, zero) - c
-            if acc == zero:
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = acc
-        return Polynomial(self.ring, coeffs)
+        return self + -other
 
     def __mul__(self, other):
         _check_same_ring(self, other)
@@ -250,8 +242,9 @@ class Polynomial:
         out = []
         for c, e in self.terms:
             mono = ring.format_monomial(e)
-            neg = _is_negative(c)
-            mag = field.format(-c if neg else c)
+            mag = field.format(c)
+            neg = mag.startswith("-")  # a residue never prints with a sign
+            mag = mag[1:] if neg else mag
             if mono == "1":
                 body = mag
             elif mag == "1":
@@ -265,13 +258,6 @@ class Polynomial:
         return " ".join(out)
 
     __repr__ = __str__
-
-
-def _is_negative(c):
-    try:
-        return c < 0
-    except TypeError:
-        return False  # GF(p) residues carry no sign
 
 
 def matrix_is_invertible(field, rows):
@@ -296,7 +282,8 @@ def apply_linear_change(f, rows):
     """Substitute x_j -> (row j of the matrix) . (x_1, ..., x_n).
 
     The matrix must be invertible over the coefficient field; degree and
-    homogeneity are preserved.
+    homogeneity are preserved.  The expansion runs on f's coefficients in
+    the field's integer form; each result enters the field once, at the end.
     """
     ring = f.ring
     n = ring.n
@@ -304,30 +291,34 @@ def apply_linear_change(f, rows):
         raise ValueError("matrix must be %d x %d" % (n, n))
     if not matrix_is_invertible(ring.field, rows):
         raise ValueError("singular change of coordinates")
-    images = [
-        ring.from_terms((c, _unit(n, j)) for j, c in enumerate(row))
-        for row in rows
-    ]
-    # cache powers of each variable image
-    powers = [{0: ring.one()} for _ in range(n)]
-
-    def power(i, e):
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
-
-    result = ring.zero()
-    for c, exps in f.terms:
-        term = ring.const(1).scale(c)
+    den, ints = ring.field.integers(f.coeffs)
+    # powers[i][e] = (image of x_i)^e, kept for the exponents e > 0 f uses
+    powers = []
+    for i, row in enumerate(rows):
+        image = {tuple(int(k == j) for k in range(n)): a for j, a in enumerate(row) if a}
+        used = {exps[i] for exps in ints}
+        power, powers_i = {(0,) * n: 1}, {}
+        for e in range(1, max(used, default=0) + 1):
+            power = _times(power, image)
+            if e in used:
+                powers_i[e] = power
+        powers.append(powers_i)
+    result = {}
+    for exps, c in ints.items():
+        term = {(0,) * n: c}
         for i, e in enumerate(exps):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                term = _times(term, powers[i][e])
+        for t, v in term.items():
+            result[t] = result.get(t, 0) + v
+    return Polynomial(ring, {t: c for t, v in result.items() if (c := ring.field(v, den))})
 
 
-def _unit(n, j):
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)
+def _times(a, b):
+    """The product of two polynomials held as {exponent tuple: integer}."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out

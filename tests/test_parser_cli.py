@@ -364,6 +364,15 @@ class TestOneInitialIdeal:
         assert "generic_retries" not in methods["c"]
         assert len(gb_calls) == 1 + methods["gin"]["gin_draws_total"]
 
+    def test_gin_reuses_the_c_route_retries(self, tmp_path, gb_calls):
+        # both routes seed the same generator, so Gin's first draw is the c
+        # route's retry matrix: one in(g I) for the two, then Gin's second
+        text = "ring: x1 x2\nfield: QQ\nideal:\nx1*x2\nx2^2\n"
+        methods = self.run_json(tmp_path, text, "all")
+        assert methods["c"]["generic_retries"] == 1
+        assert methods["gin"]["gin_draws_total"] == 2
+        assert len(gb_calls) == 2
+
 
 NINE_VARIABLE_FILE = """\
 ring: x1 x2 x3 x4 x5 x6 x7 x8 x9

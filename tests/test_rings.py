@@ -1,8 +1,11 @@
 """Core arithmetic: degrevlex, monomial helpers, polynomials, coordinate changes."""
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmreg import PolynomialRing, PrimeField, QQ, apply_linear_change
 from cmreg.orders import (
@@ -205,6 +208,63 @@ class TestLinearChange:
         assert not matrix_is_invertible(QQ, [[2, 2], [1, 1]])
         assert matrix_is_invertible(QQ, [[2, 0], [0, 1]])
         assert not matrix_is_invertible(PrimeField(2), [[2, 0], [0, 1]])
+
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+    def test_large_exponent(self, field):
+        # x -> x + y on x^1100: the binomial expansion, with no recursion
+        # as deep as the exponent
+        R = PolynomialRing(["x", "y"], field)
+        got = apply_linear_change(R.monomial((1100, 0)), [[1, 1], [0, 1]])
+        assert got.coeffs == {
+            (k, 1100 - k): field(comb(1100, k)) for k in range(1101)
+        }
+
+
+def reference_linear_change(f, rows):
+    """The coordinate change in the field's own arithmetic: each term of f
+    times the powers of the variables' images, by Polynomial products."""
+    ring = f.ring
+    n = ring.n
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    images = [ring.from_terms(zip(row, units)) for row in rows]
+    result = ring.zero()
+    for c, exps in f.terms:
+        term = ring.const(1).scale(c)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        result = result + term
+    return result
+
+
+@st.composite
+def linear_changes(draw, field):
+    """(f, rows): f with up to 5 terms, exponents at most 4, rational
+    coefficients over QQ, and an integer matrix with small, often zero,
+    entries that is invertible over the field."""
+    n = draw(st.integers(1, 3))
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)], field)
+    exps = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    num = st.integers(-20, 20) if field == QQ else st.integers(-40000, 40000)
+    den = st.integers(1, 9) if field == QQ else st.just(1)
+    terms = draw(st.lists(st.tuples(num, den, exps), max_size=5))
+    f = ring.from_terms((field(a, b), e) for a, b, e in terms)
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    assume(matrix_is_invertible(field, rows))
+    return f, rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(32003)], ids=str)
+def test_linear_change_matches_field_arithmetic(field):
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(linear_changes(field))
+    def check(change):
+        f, rows = change
+        assert apply_linear_change(f, rows) == reference_linear_change(f, rows)
+
+    check()
 
 
 def _random_invertible(rng, n):
