@@ -25,6 +25,9 @@ GOLDEN = {
     # the Stanley-Reisner ideal of the 6-vertex real projective plane
     "rp2-qq": ORACLE,
     "rp2-gf2": ORACLE,
+    # prime-field coefficients reduced mod p on input, and a c route that
+    # needs one coordinate retry
+    "gfp-retry": ALL_ROUTES,
 }
 
 
