@@ -7,7 +7,7 @@
 Exit codes: 0 success, 1 mathematical failure (filter-regularity failure,
 method disagreement, Gin agreement failure), 2 input error (syntax,
 undeclared variables, wrong field for the method, t outside [0, n], the
-unit ideal, an oracle input beyond the oracle's scope).
+unit ideal, an oracle input beyond the oracle's scope, --bound below 1).
 """
 
 import argparse
@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import __version__
+from .fields import _mpq
 from .groebner import initial_ideal, reduced_groebner_basis
 from .monomial_ideals import (
     NEG_INF,
@@ -132,7 +133,8 @@ def build_parser():
     p.add_argument(
         "--version",
         action="version",
-        version="cmreg %s (schema %d)" % (__version__, SCHEMA_VERSION),
+        version="cmreg %s (schema %d, rationals: %s.%s)"
+        % (__version__, SCHEMA_VERSION, _mpq.__module__, _mpq.__name__),
     )
     sub = p.add_subparsers(dest="command")
     c = sub.add_parser("compute", help="compute regularity invariants")

@@ -1,11 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Rational arithmetic uses gmpy2.mpq when available (much faster than
-fractions.Fraction); both keep values in lowest terms with positive
-denominator automatically.
-
-No other module reads a value's representation: `field.integers` gives
-values in integer form, and `field(num, den)` is the way back.
+A value of QQ is a gmpy2.mpq when gmpy2 is installed (much faster than
+fractions.Fraction, the fallback); a value of GF(p) is a plain int in
+[0, p), and polynomial arithmetic reduces mod p when the characteristic is
+nonzero.  `field(num, den)` is the way in for both fields, and every
+division goes through it; `field.integers` gives values in integer form.
 """
 
 from math import lcm
@@ -37,17 +36,6 @@ class RationalField:
         den = lcm(*(int(c.denominator) for c in coeffs.values()))
         return den, {e: int(c.numerator) * (den // int(c.denominator)) for e, c in coeffs.items()}
 
-    @property
-    def zero(self):
-        return _mpq(0)
-
-    @property
-    def one(self):
-        return _mpq(1)
-
-    def format(self, c):
-        return str(c)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -58,100 +46,26 @@ class RationalField:
         return "QQ"
 
 
-class GFElement:
-    """A residue class modulo a prime p."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise FieldError("mixed characteristics")
-            return other.val
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(v - self.val, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return GFElement(self.val * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.val * pow(v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if self.val == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(v * pow(self.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return GFElement(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "%d" % self.val
+# the smallest strong pseudoprime to all the bases: Miller-Rabin with them
+# decides primality exactly below it
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(p):
-    """Deterministic Miller-Rabin, valid for p < 3.3e24."""
+    """Deterministic Miller-Rabin; FieldError for p >= PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise FieldError("%d is too large: GF(p) needs p < %d" % (p, PRIME_BOUND))
     if p < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if p % q == 0:
             return p == q
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, p)
         if x in (1, p - 1):
             continue
@@ -177,25 +91,11 @@ class PrimeField:
     def __call__(self, num, den=1):
         if den % self.p == 0:
             raise FieldError("zero denominator in GF(%d)" % self.p)
-        e = GFElement(num, self.p)
-        if den != 1:
-            e = e / den
-        return e
+        return num * pow(den, -1, self.p) % self.p
 
     def integers(self, coeffs):
-        """(1, {e: residue of c}) for a dict of values."""
-        return 1, {e: c.val for e, c in coeffs.items()}
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
-
-    def format(self, c):
-        return str(c.val)
+        """(1, coeffs): a value is already its own residue."""
+        return 1, coeffs
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

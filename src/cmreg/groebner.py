@@ -85,12 +85,10 @@ def _reducer(g):
     """
     if g._reducer is None:
         lm = g.leading_monomial()
-        p = g.ring.field.characteristic
-        ints = g.ring.field.integers(g.coeffs)[1]
-        if p:
-            inv = pow(ints[lm], -1, p)
-            ints = {e: v * inv % p for e, v in ints.items()}
+        if g.ring.field.characteristic:
+            ints = g.monic().coeffs
         else:
+            ints = g.ring.field.integers(g.coeffs)[1]
             content = gcd(*ints.values())
             if ints[lm] < 0:
                 content = -content
@@ -170,13 +168,15 @@ def s_polynomial(f, g):
     lcm_fg = mono_lcm(mf, mg)
     qf = mono_div(lcm_fg, mf)
     qg = mono_div(lcm_fg, mg)
-    zero = f.ring.field.zero
+    p = f.ring.field.characteristic
     coeffs = {tuple(map(add, e, qf)): c for e, c in f.coeffs.items() if e != mf}
     for e, c in g.coeffs.items():
         if e != mg:
             t = tuple(map(add, e, qg))
-            v = coeffs.get(t, zero) - c
-            if v == zero:
+            v = coeffs.get(t, 0) - c
+            if p:
+                v %= p
+            if not v:
                 coeffs.pop(t, None)
             else:
                 coeffs[t] = v

@@ -175,6 +175,8 @@ def _with_ideal_side(reg_q, astar_q, nonzero_ideal):
 
 def random_invertible_matrix(rng, n, field, bound=1000):
     """A random integer matrix, redrawn until invertible over the field."""
+    if bound < 1:
+        raise InputError("the random matrix entry bound must be at least 1")
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if matrix_is_invertible(field, rows):

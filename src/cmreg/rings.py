@@ -43,10 +43,7 @@ class PolynomialRing:
         return self.const(1)
 
     def const(self, c):
-        c = c if not isinstance(c, int) else self.field(c)
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {(0,) * self.n: c})
+        return self.from_terms([(c, (0,) * self.n)])
 
     def gens(self):
         return [self.variable(i) for i in range(self.n)]
@@ -60,19 +57,21 @@ class PolynomialRing:
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
             raise ValueError("bad exponent vector %r" % (exps,))
-        return Polynomial(self, {exps: self.field.one})
+        return Polynomial(self, {exps: self.field(1)})
 
     def from_terms(self, terms):
         """Build a polynomial from (coeff, exps) pairs, collecting duplicates."""
         coeffs = {}
-        zero = self.field.zero
+        p = self.field.characteristic
         for c, e in terms:
             e = tuple(e)
             if len(e) != self.n:
                 raise ValueError("bad exponent vector %r" % (e,))
             c = self.field(c) if isinstance(c, int) else c
-            acc = coeffs.get(e, zero) + c
-            if acc == zero:
+            acc = coeffs.get(e, 0) + c
+            if p:
+                acc %= p
+            if not acc:
                 coeffs.pop(e, None)
             else:
                 coeffs[e] = acc
@@ -180,31 +179,36 @@ class Polynomial:
 
     def __add__(self, other):
         _check_same_ring(self, other)
-        zero = self.ring.field.zero
+        p = self.ring.field.characteristic
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            acc = coeffs.get(e, zero) + c
-            if acc == zero:
+            acc = coeffs.get(e, 0) + c
+            if p:
+                acc %= p
+            if not acc:
                 coeffs.pop(e, None)
             else:
                 coeffs[e] = acc
         return Polynomial(self.ring, coeffs)
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.coeffs.items()})
+        p = self.ring.field.characteristic
+        return Polynomial(self.ring, {e: p - c if p else -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
         _check_same_ring(self, other)
-        zero = self.ring.field.zero
+        p = self.ring.field.characteristic
         coeffs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc = coeffs.get(e, zero) + c1 * c2
-                if acc == zero:
+                acc = coeffs.get(e, 0) + c1 * c2
+                if p:
+                    acc %= p
+                if not acc:
                     coeffs.pop(e, None)
                 else:
                     coeffs[e] = acc
@@ -213,18 +217,20 @@ class Polynomial:
     def scale(self, c):
         """Multiply by a scalar."""
         c = self.ring.field(c) if isinstance(c, int) else c
-        if c == self.ring.field.zero:
+        if not c:
             return self.ring.zero()
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, {e: k * c % p for e, k in self.coeffs.items()})
         return Polynomial(self.ring, {e: k * c for e, k in self.coeffs.items()})
 
     def monic(self):
         if not self.coeffs:
             return self
         lc = self.leading_coeff()
-        one = self.ring.field.one
-        if lc == one:
+        if lc == 1:
             return self
-        return self.scale(one / lc)
+        return self.scale(self.ring.field(1, lc))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -238,11 +244,10 @@ class Polynomial:
         if not self.coeffs:
             return "0"
         ring = self.ring
-        field = ring.field
         out = []
         for c, e in self.terms:
             mono = ring.format_monomial(e)
-            mag = field.format(c)
+            mag = str(c)
             neg = mag.startswith("-")  # a residue never prints with a sign
             mag = mag[1:] if neg else mag
             if mono == "1":

@@ -42,7 +42,8 @@ FIELDS = (QQ, PrimeField(2), PrimeField(32003))
 def reference_normal_form(f, basis):
     """Full reduction of f against basis, in field arithmetic."""
     key = f.ring.key
-    zero = f.ring.field.zero
+    field = f.ring.field
+    p = field.characteristic
     leads = [g.leading_term() for g in basis]
     remainder, work = {}, dict(f.coeffs)
     while work:
@@ -50,12 +51,14 @@ def reference_normal_form(f, basis):
         c = work.pop(e)
         for g, (lc, lm) in zip(basis, leads):
             if mono_divides(lm, e):
-                scaled = (g * g.ring.monomial(mono_div(e, lm))).scale(c / lc)
+                scaled = (g * g.ring.monomial(mono_div(e, lm))).scale(field(c, lc))
                 for e2, c2 in scaled.coeffs.items():
                     if e2 == e:
                         continue
-                    acc = work.get(e2, zero) - c2
-                    if acc == zero:
+                    acc = work.get(e2, 0) - c2
+                    if p:
+                        acc %= p
+                    if acc == 0:
                         work.pop(e2, None)
                     else:
                         work[e2] = acc
@@ -70,9 +73,9 @@ def reference_s_polynomial(f, g):
     cg, mg = g.leading_term()
     lcm = mono_lcm(mf, mg)
     ring = f.ring
-    return (f * ring.monomial(mono_div(lcm, mf))).scale(ring.field.one / cf) - (
+    return (f * ring.monomial(mono_div(lcm, mf))).scale(ring.field(1, cf)) - (
         g * ring.monomial(mono_div(lcm, mg))
-    ).scale(ring.field.one / cg)
+    ).scale(ring.field(1, cg))
 
 
 def reference_basis(generators):

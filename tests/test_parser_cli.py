@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import cmreg.fields
 from cmreg import ParseError, parse_input
 from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, run
 
@@ -309,7 +310,10 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
-        assert "cmreg" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "cmreg" in out
+        # the rational arithmetic actually loaded: gmpy2.mpq or Fraction
+        assert "%s.%s" % (cmreg.fields._mpq.__module__, cmreg.fields._mpq.__name__) in out
 
 
 class TestOneInitialIdeal:
@@ -407,6 +411,22 @@ class TestRefusals:
         text = "ring: x y\nfield: QQ\nideal:\n1\n"
         err = self.refused(tmp_path, text, ["--method", method])
         assert "unit ideal" in err
+
+    # a composite that passes Miller-Rabin to the bases 2, ..., 37, and the
+    # first number the bases 2, ..., 41 cannot decide
+    @pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981])
+    def test_characteristic_not_a_certified_prime(self, tmp_path, p):
+        text = "ring: x y\nfield: GF(%d)\nideal:\nx*y\n" % p
+        err = self.refused(tmp_path, text, ["--method", "c"])
+        assert str(p) in err
+
+    # x*y, y^2 needs a coordinate retry, so both routes draw a matrix
+    @pytest.mark.parametrize("method", ["c", "gin"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one(self, tmp_path, method, bound):
+        text = "ring: x y\nfield: QQ\nideal:\nx*y\ny^2\n"
+        err = self.refused(tmp_path, text, ["--method", method, "--bound", bound])
+        assert "bound" in err
 
     def test_oracle_scope(self, tmp_path):
         err = self.refused(tmp_path, NINE_VARIABLE_FILE, ["--method", "oracle"])
