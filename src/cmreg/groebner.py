@@ -54,7 +54,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._initials = {}  # change of coordinates g -> in(g I), see regularity
+        self._initials = {}  # g -> in(g I), identity (None) included: see regularity._initial_of
 
     def is_zero(self):
         return not self.generators
@@ -168,19 +168,12 @@ def s_polynomial(f, g):
     lcm_fg = mono_lcm(mf, mg)
     qf = mono_div(lcm_fg, mf)
     qg = mono_div(lcm_fg, mg)
-    p = f.ring.field.characteristic
     coeffs = {tuple(map(add, e, qf)): c for e, c in f.coeffs.items() if e != mf}
     for e, c in g.coeffs.items():
         if e != mg:
             t = tuple(map(add, e, qg))
-            v = coeffs.get(t, 0) - c
-            if p:
-                v %= p
-            if not v:
-                coeffs.pop(t, None)
-            else:
-                coeffs[t] = v
-    return Polynomial(f.ring, coeffs)
+            coeffs[t] = coeffs.get(t, 0) - c
+    return f.ring.from_coeffs(coeffs)
 
 
 def buchberger(generators):

@@ -8,6 +8,8 @@ Extended integers use the floats -inf/+inf alongside Python ints; the
 conventions -inf < k < +inf and -inf + k = -inf come for free.
 """
 
+from math import factorial
+
 from .orders import m_index, mono_divides
 
 NEG_INF = float("-inf")
@@ -19,6 +21,10 @@ class InputError(ValueError):
     field, an out-of-range cutoff t, the unit ideal, or the oracle's scope."""
 
 
+class CharacteristicError(InputError):
+    """A characteristic-0-only method was requested over a prime field."""
+
+
 class MathematicalFailure(RuntimeError):
     """A route could not certify an answer for a valid input."""
 
@@ -27,6 +33,7 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "InputError",
+    "CharacteristicError",
     "MathematicalFailure",
     "MonomialIdeal",
     "minimalize",
@@ -258,7 +265,7 @@ def is_borel_fixed(J):
     every i < j, the exchange x^A x_i / x_j stays in J.
     """
     if J.ring.field.characteristic != 0:
-        raise ValueError("Borel-fixedness criterion requires characteristic 0")
+        raise CharacteristicError("Borel-fixedness criterion requires characteristic 0")
     for g in J.gens:
         for j in range(J.n):
             if g[j] == 0:
@@ -277,16 +284,12 @@ def is_borel_fixed(J):
 
 
 def _binom_poly(a, k):
-    """binomial(a, k) as the polynomial a(a-1)...(a-k+1)/k!, any integer a."""
-    if k == 0:
-        return 1
+    """binomial(a, k) as the polynomial a(a-1)...(a-k+1)/k!, any integer a:
+    k! divides a product of k consecutive integers."""
     num = 1
     for i in range(k):
         num *= a - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return num // den if num % den == 0 else num / den
+    return num // factorial(k)
 
 
 def hilbert_function(J, m):

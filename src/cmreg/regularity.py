@@ -17,7 +17,7 @@ Carlo (two agreeing random coordinate changes plus a Borel-fixedness
 certificate) and reads the invariants off the degrees and top variable
 indices of Min(Gin).
 
-The third route reads them off the graded Betti table of a monomial ideal.
+The third route reads them off the graded Betti table of S/in(I).
 """
 
 import random
@@ -29,6 +29,7 @@ from .groebner import Ideal, initial_ideal, reduced_groebner_basis
 from .monomial_ideals import (
     NEG_INF,
     POS_INF,
+    CharacteristicError,
     InputError,
     MathematicalFailure,
     MonomialIdeal,
@@ -57,10 +58,6 @@ class FilterRegularityFailure(MathematicalFailure):
             "filter-regularity fails at substitution index %d (c_%d = +inf)"
             % (index, index)
         )
-
-
-class CharacteristicError(InputError):
-    """A characteristic-0-only method was requested over a prime field."""
 
 
 class GinAgreementError(MathematicalFailure):
@@ -118,20 +115,17 @@ def _check_input(J, t):
         raise InputError("the unit ideal has no regularity invariants")
 
 
-def _initial_of(I):
-    """in(I) under degrevlex, for an Ideal or a MonomialIdeal."""
-    if isinstance(I, MonomialIdeal):
+def _initial_of(I, rows=None):
+    """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
+    change of coordinates g given by rows (None: the identity).  Each is
+    kept on I for the run, so that the routes share in(I) and the Gin draws
+    under --method all repeat the c route's retries."""
+    if rows is None and isinstance(I, MonomialIdeal):
         return I
-    gb = reduced_groebner_basis(I)
-    return initial_ideal(gb, I.ring)
-
-
-def _initial_in(I, rows):
-    """in(g I) for the change of coordinates g given by rows, kept on I for
-    the run: under --method all the Gin draws repeat the c route's retries."""
-    key = tuple(map(tuple, rows))
+    key = None if rows is None else tuple(map(tuple, rows))
     if key not in I._initials:
-        I._initials[key] = _initial_of(transform_ideal(I, rows))
+        J = I if rows is None else transform_ideal(I, rows)
+        I._initials[key] = initial_ideal(reduced_groebner_basis(J), I.ring)
     return I._initials[key]
 
 
@@ -224,7 +218,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
                 raise
             retries += 1
             m = random_invertible_matrix(rng, I.ring.n, I.ring.field, bound)
-            J = _initial_in(I, m)
+            J = _initial_of(I, m)
     return RegularityReport(
         t=t_eff,
         c=c,
@@ -252,7 +246,7 @@ def generic_initial_ideal(I, seed=0, bound=1000):
     draws = 0
     while draws < DRAW_CAP:
         m = random_invertible_matrix(rng, ring.n, ring.field, bound)
-        J = _initial_in(I, m)
+        J = _initial_of(I, m)
         draws += 1
         seen[J] = seen.get(J, 0) + 1
         if seen[J] >= 2 and is_borel_fixed(J):
@@ -300,10 +294,12 @@ def invariants_via_gin(I, t=None, seed=0, bound=1000):
     )
 
 
-def invariants_via_betti(J, t=None):
-    """Regularity report of a monomial ideal J read off the Betti table of
-    S/J in the characteristic of J's field, with reg_t and a*_t at t
-    (default n).  Raises OracleScopeError beyond the oracle's scope."""
+def invariants_via_betti(I, t=None):
+    """Regularity report of S/in(I), for an Ideal or a MonomialIdeal, read
+    off the Betti table of S/in(I) in the characteristic of I's field, with
+    reg_t and a*_t at t (default n).  Raises OracleScopeError beyond the
+    oracle's scope."""
+    J = _initial_of(I)
     _check_input(J, t)
     t_eff = J.n if t is None else t
     table = betti_table(J)

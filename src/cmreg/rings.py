@@ -62,20 +62,21 @@ class PolynomialRing:
     def from_terms(self, terms):
         """Build a polynomial from (coeff, exps) pairs, collecting duplicates."""
         coeffs = {}
-        p = self.field.characteristic
         for c, e in terms:
             e = tuple(e)
             if len(e) != self.n:
                 raise ValueError("bad exponent vector %r" % (e,))
-            c = self.field(c) if isinstance(c, int) else c
-            acc = coeffs.get(e, 0) + c
-            if p:
-                acc %= p
-            if not acc:
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = acc
-        return Polynomial(self, coeffs)
+            coeffs[e] = coeffs.get(e, 0) + (self.field(c) if isinstance(c, int) else c)
+        return self.from_coeffs(coeffs)
+
+    def from_coeffs(self, coeffs):
+        """The polynomial with the {exps: value} coefficients given: each
+        value reduced mod p over GF(p), and zero values dropped.  Every
+        polynomial built from accumulated coefficients ends here."""
+        p = self.field.characteristic
+        if p:
+            return Polynomial(self, {e: v for e, c in coeffs.items() if (v := c % p)})
+        return Polynomial(self, {e: c for e, c in coeffs.items() if c})
 
     def drop_last(self, i):
         """The subring on the first n-i variables, same field."""
@@ -179,50 +180,25 @@ class Polynomial:
 
     def __add__(self, other):
         _check_same_ring(self, other)
-        p = self.ring.field.characteristic
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            acc = coeffs.get(e, 0) + c
-            if p:
-                acc %= p
-            if not acc:
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = acc
-        return Polynomial(self.ring, coeffs)
+            coeffs[e] = coeffs.get(e, 0) + c
+        return self.ring.from_coeffs(coeffs)
 
     def __neg__(self):
-        p = self.ring.field.characteristic
-        return Polynomial(self.ring, {e: p - c if p else -c for e, c in self.coeffs.items()})
+        return self.ring.from_coeffs({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
         _check_same_ring(self, other)
-        p = self.ring.field.characteristic
-        coeffs = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = coeffs.get(e, 0) + c1 * c2
-                if p:
-                    acc %= p
-                if not acc:
-                    coeffs.pop(e, None)
-                else:
-                    coeffs[e] = acc
-        return Polynomial(self.ring, coeffs)
+        return self.ring.from_coeffs(_times(self.coeffs, other.coeffs))
 
     def scale(self, c):
         """Multiply by a scalar."""
         c = self.ring.field(c) if isinstance(c, int) else c
-        if not c:
-            return self.ring.zero()
-        p = self.ring.field.characteristic
-        if p:
-            return Polynomial(self.ring, {e: k * c % p for e, k in self.coeffs.items()})
-        return Polynomial(self.ring, {e: k * c for e, k in self.coeffs.items()})
+        return self.ring.from_coeffs({e: k * c for e, k in self.coeffs.items()})
 
     def monic(self):
         if not self.coeffs:

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+import cmreg.regularity
 from cmreg import (
     NEG_INF,
     POS_INF,
+    CharacteristicError,
+    InputError,
     MonomialIdeal,
     PolynomialRing,
     PrimeField,
@@ -258,6 +261,15 @@ class TestBorelFixed:
         with pytest.raises(ValueError):
             is_borel_fixed(J)
 
+    def test_refusal_is_an_input_error(self):
+        # the same refusal the Gin route gives over a prime field
+        R = PolynomialRing(["x"], field=PrimeField(7))
+        J = MonomialIdeal.from_generators(R, [(2,)])
+        with pytest.raises(InputError) as exc:
+            is_borel_fixed(J)
+        assert type(exc.value) is CharacteristicError
+        assert cmreg.regularity.CharacteristicError is CharacteristicError
+
     def test_single_step_implies_full_exchange(self):
         # exhaustive q-loop oracle: whenever the single-step criterion
         # accepts, every exchange x^A x_i^q / x_j^q with q <= A_j stays in J
@@ -315,6 +327,16 @@ class TestHilbertFunctionAndPolynomial:
             assert hilbert_polynomial_value(curve_initial, m) == hilbert_function(
                 curve_initial, m
             )
+
+    def test_polynomial_at_negative_m_is_an_exact_int(self):
+        # S/(x1^2) in 4 variables: P(m) = (m+1)^2, a cubic binomial sum
+        # evaluated at negative arguments
+        R = PolynomialRing(["x1", "x2", "x3", "x4"])
+        J = MonomialIdeal.from_generators(R, [(2, 0, 0, 0)])
+        for m in (-1, -2, -5, -12):
+            value = hilbert_polynomial_value(J, m)
+            assert type(value) is int
+            assert value == (m + 1) ** 2
 
     def test_divide_by_one_minus_t(self):
         assert divide_by_one_minus_t([1, -2, 1]) == [1, -1]

@@ -6,8 +6,8 @@ import json
 import pytest
 
 import cmreg.fields
-from cmreg import ParseError, parse_input
-from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, run
+from cmreg import ParseError, RegularityReport, parse_input
+from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
 
 from conftest import quartic_curve_ideal
 
@@ -278,6 +278,34 @@ class TestCli:
         assert "5 random coordinate changes" in err
         assert "GF(2) may be too small" in err
 
+    def test_all_answers_when_the_c_route_fails(self, tmp_path):
+        # the c route finds no generic coordinates over GF(2), Gin is
+        # skipped there, and the oracle still answers: exit 1 with the
+        # oracle's document and the c route's failure
+        p = tmp_path / "rp2.ideal"
+        p.write_text(rp2_file("GF(2)"))
+        code, out, err = run_cli(
+            ["compute", "--input", str(p), "--method", "all", "--betti", "--json"]
+        )
+        assert code == EXIT_MATH
+        doc = json.loads(out)
+        assert list(doc["methods"]) == ["oracle"]
+        assert doc["methods"]["oracle"]["reg_quotient"] == 3
+        assert doc["hilbert_numerator"]
+        # only the oracle answered, so nothing was compared
+        assert doc["methods_agree"] is False
+        assert doc["notes"][0].startswith("c method failed: filter-regularity fails")
+        assert err.startswith("mathematical failure: filter-regularity fails")
+        assert "GF(2) may be too small" in err
+
+    def test_oracle_on_in_I_is_not_compared_without_the_c_route(self):
+        # without a c report there is no sign that in(I) was read in
+        # generic coordinates, so the oracle's values stay out of the check
+        gin = RegularityReport(2, (1, 1, 0), 2, 1, 1, 1, 2, "gin")
+        oracle = RegularityReport(2, None, 4, 3, 3, 3, 2, "oracle")
+        assert _check_agreement({"gin": gin, "oracle": oracle}, False) == (True, [])
+        assert _check_agreement({"gin": gin, "oracle": oracle}, True)[0] is False
+
     @pytest.mark.parametrize("field, reg", [("QQ", 2), ("GF(2)", 3), ("GF(32003)", 2)])
     def test_oracle_honours_characteristic(self, tmp_path, field, reg):
         p = tmp_path / "rp2.ideal"
@@ -332,7 +360,6 @@ class TestOneInitialIdeal:
             return original(ideal)
 
         monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
-        monkeypatch.setattr(cmreg.cli, "reduced_groebner_basis", counted)
         return calls
 
     def run_json(self, tmp_path, text, method):

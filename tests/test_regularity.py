@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+import cmreg.regularity
 from cmreg import (
     NEG_INF,
     POS_INF,
     CharacteristicError,
     FilterRegularityFailure,
     Ideal,
+    InputError,
     MonomialIdeal,
     PolynomialRing,
     PrimeField,
@@ -19,6 +21,7 @@ from cmreg import (
     full_invariants,
     generic_initial_ideal,
     invariants_from_betti,
+    invariants_via_betti,
     invariants_via_gin,
 )
 from cmreg.regularity import (
@@ -290,6 +293,57 @@ class TestGin:
             inv = invariants_from_betti(betti_table(J))
             assert inv["reg"] >= rep.reg_quotient
             done += 1
+
+
+class TestOracleOnIdeals:
+    """The oracle reads S/in(I) for an Ideal, through the same in(I) as the
+    c route."""
+
+    @staticmethod
+    def values(rep):
+        return (
+            rep.reg_quotient,
+            rep.astar_quotient,
+            rep.reg_t_quotient,
+            rep.astar_t_quotient,
+            rep.dim_quotient,
+            rep.max_generator_degree,
+            rep.betti.entries,
+        )
+
+    def test_ideal_reads_its_initial_ideal(self, curve_ideal, curve_initial):
+        assert self.values(invariants_via_betti(curve_ideal)) == self.values(
+            invariants_via_betti(curve_initial)
+        )
+        rng = random.Random(29)
+        R = PolynomialRing(["x1", "x2", "x3"])
+        done = 0
+        while done < 5:
+            I = random_homogeneous_ideal(rng, R)
+            if I is None:
+                continue
+            try:
+                J = full_invariants(I).initial_ideal
+            except InputError:
+                continue  # the unit ideal has no invariants
+            for t in range(R.n + 1):
+                assert self.values(invariants_via_betti(I, t)) == self.values(
+                    invariants_via_betti(J, t)
+                )
+            done += 1
+
+    def test_no_groebner_basis_after_the_c_route(self, curve_ideal, monkeypatch):
+        full_invariants(curve_ideal)
+        calls = []
+        original = cmreg.regularity.reduced_groebner_basis
+
+        def counted(ideal):
+            calls.append(ideal)
+            return original(ideal)
+
+        monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
+        invariants_via_betti(curve_ideal)
+        assert calls == []
 
 
 class TestRandomMatrices:
