@@ -1,6 +1,7 @@
-"""Graded Betti numbers of monomial ideals via upper-Koszul simplicial
-homology on the lcm lattice, and the resolution read-offs of regularity,
-the a*-invariant and their partial versions.
+"""Graded Betti numbers of monomial ideals via the simplicial homology of
+upper Koszul complexes, each read off its facets, on the lcm lattice, and
+the resolution read-offs of regularity, the a*-invariant and their partial
+versions.
 
 This is a verification oracle, deliberately restricted to desk scale
 (n <= 8, at most 20 generators).
@@ -10,7 +11,7 @@ from itertools import combinations
 
 from .linalg import rank
 from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
-from .orders import mono_lcm
+from .orders import mono_divides, mono_lcm
 
 MAX_GENERATORS = 20
 MAX_VARIABLES = 8
@@ -31,7 +32,7 @@ def _check_scope(J):
 def lcm_multidegrees(J):
     """lcms of all nonempty subsets of the minimal generators, deduplicated."""
     if J.is_zero() or J.is_unit():
-        raise ValueError("oracle needs a proper nonzero ideal")
+        raise InputError("oracle needs a proper nonzero ideal")
     _check_scope(J)
     acc = set()
     for g in J.gens:
@@ -41,28 +42,24 @@ def lcm_multidegrees(J):
 
 
 def upper_koszul_complex(J, b):
-    """Faces of K^b(J) = {sigma : x^(b - e_sigma) in J}, grouped by dimension.
+    """Faces of K^b(J) = {sigma subset of supp b : x^(b - e_sigma) in J}.
 
-    Returns a list faces[d] of sorted vertex tuples for d = -1 .. len(V)-1
-    (index shifted by one: faces[0] is the empty face level).
+    K^b is generated by T_g = {j : g_j < b_j} for the minimal generators g
+    dividing x^b.  Returns [] (the void complex) when there is none, and
+    otherwise faces[k], the sorted k-subsets of some T_g, for
+    k = 0 .. max |T_g| (faces[0] = [()], the empty face).
     """
-    b = tuple(b)
-    if not J.contains(b):
-        return []  # void complex
-    vertices = [i for i, e in enumerate(b) if e > 0]
-    by_dim = [[()]]
-    for size in range(1, len(vertices) + 1):
-        level = []
-        for sigma in combinations(vertices, size):
-            reduced = list(b)
-            for v in sigma:
-                reduced[v] -= 1
-            if J.contains(tuple(reduced)):
-                level.append(sigma)
-        if not level:
-            break
-        by_dim.append(level)
-    return by_dim
+    if len(b) != J.n:
+        raise InputError("multidegree from a different ring")
+    tops = [
+        [j for j, (e, bj) in enumerate(zip(g, b)) if e < bj]
+        for g in J.gens
+        if mono_divides(g, b)
+    ]
+    return [
+        sorted({face for top in tops for face in combinations(top, k)})
+        for k in range(max(map(len, tops), default=-1) + 1)
+    ]
 
 
 def _boundary_matrix(lower, upper):
@@ -94,11 +91,6 @@ def reduced_homology_ranks(by_dim, field_char=0):
         level = d + 1
         ranks.append(counts[level] - boundary_ranks[level] - boundary_ranks[level + 1])
     return ranks
-
-
-def upper_koszul_homology(J, b, field_char=0):
-    """Reduced homology ranks of K^b(J); ranks[d] is dim H~_d."""
-    return reduced_homology_ranks(upper_koszul_complex(J, b), field_char)
 
 
 class BettiTable:
@@ -150,12 +142,11 @@ def betti_table(J, field_char=None):
         key = (1, sum(g))
         entries[key] = entries.get(key, 0) + 1
     for b in lcm_multidegrees(J):  # refuses the unit ideal and J beyond scope
-        ranks = upper_koszul_homology(J, b, field_char)
+        ranks = reduced_homology_ranks(upper_koszul_complex(J, b), field_char)
         j = sum(b)
-        # beta_{i,b}(S/J) = H~_{i-2}(K^b) for i >= 2
-        for d, r in enumerate(ranks):
-            i = d + 2
-            if r and i >= 2:
+        # beta_{i,b}(S/J) = H~_{i-2}(K^b)
+        for i, r in enumerate(ranks, 2):
+            if r:
                 entries[(i, j)] = entries.get((i, j), 0) + r
     return BettiTable(entries, J.n)
 

@@ -7,13 +7,15 @@
 Exit codes: 0 success, 1 mathematical failure (filter-regularity failure,
 method disagreement, Gin agreement failure), 2 input error (syntax,
 undeclared variables, wrong field for the method, t outside [0, n], the
-unit ideal, an oracle input beyond the oracle's scope, --bound below 1).
+unit ideal, an oracle input beyond its scope under --method oracle,
+--bound below 1).
 
-Every route reads in(I) through `regularity`.  Under --method all, a Gin or
-oracle route that refuses the input is skipped with a note, and a route
-that fails to certify leaves the others to answer: the document of those
-that did is printed with a note naming the failed route and
-`methods_agree` false, and the run exits 1 with the failure on stderr.
+Every route reads in(I) through `regularity`; --betti runs the oracle on
+every input.  A route that refuses the input is skipped with a note unless
+--method names it or it is the c route.  Under --method all, a route that
+fails to certify leaves the others to answer: the document of those that
+did is printed with a note naming the failed route and `methods_agree`
+false, and the run exits 1 with the failure on stderr.
 """
 
 import argparse
@@ -113,6 +115,9 @@ def _print_human(doc, out):
             "reg_ideal",
             "astar_quotient",
             "astar_ideal",
+            "reg_t_quotient",
+            "astar_t_quotient",
+            "max_generator_degree",
         ):
             if key in rep:
                 show("  " + key, rep[key])
@@ -189,12 +194,12 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
     reports, notes, failures = {}, [], []
 
     def attempt(name, route, skipped=None):
-        # under --method all, a route that refuses the input is skipped with
-        # a note, and one that fails to certify leaves the others to answer
+        # a refusal is skipped with a note unless --method names the route;
+        # under --method all, a failure to certify leaves the others to answer
         try:
             reports[name] = route()
         except InputError as exc:
-            if args.method != "all" or skipped is None:
+            if args.method == name or skipped is None:
                 raise
             notes.append(skipped(exc))
         except MathematicalFailure as exc:
@@ -219,8 +224,8 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
                 lambda: invariants_via_gin(ideal, t=args.t, seed=args.seed, bound=args.bound),
                 lambda exc: "gin method skipped over %s" % ring.field.name,
             )
-        # the oracle also supplies the Betti table of a monomial input
-        if args.method in ("oracle", "all") or (args.betti and monomial is not None):
+        # the oracle also supplies --betti's table, of S/in(I) for a non-monomial input
+        if args.method in ("oracle", "all") or args.betti:
             attempt(
                 "oracle",
                 lambda: invariants_via_betti(ideal, args.t),

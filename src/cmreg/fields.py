@@ -9,13 +9,15 @@ division goes through it; `field.integers` gives values in integer form.
 
 from math import lcm
 
+from .monomial_ideals import InputError
+
 try:
     from gmpy2 import mpq as _mpq
 except ImportError:  # pragma: no cover
     from fractions import Fraction as _mpq
 
 
-class FieldError(ValueError):
+class FieldError(InputError):
     pass
 
 

@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from operator import add, le, sub
 
-from .monomial_ideals import MonomialIdeal
+from .monomial_ideals import InputError, MonomialIdeal
 from .orders import (
     mono_coprime,
     mono_div,
@@ -34,7 +34,7 @@ from .orders import (
 from .rings import Polynomial, RingMismatchError
 
 
-class NonHomogeneousError(ValueError):
+class NonHomogeneousError(InputError):
     pass
 
 

@@ -76,7 +76,7 @@ class MonomialIdeal:
         gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != ring.n or any(e < 0 for e in g):
-                raise ValueError("bad exponent vector %r" % (g,))
+                raise InputError("bad exponent vector %r" % (g,))
         return cls(ring, minimalize(gens))
 
     @property

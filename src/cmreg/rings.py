@@ -11,6 +11,7 @@ from operator import add
 
 from .fields import QQ
 from .linalg import rank
+from .monomial_ideals import InputError
 from .orders import degrevlex_key
 
 
@@ -269,9 +270,9 @@ def apply_linear_change(f, rows):
     ring = f.ring
     n = ring.n
     if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be %d x %d" % (n, n))
+        raise InputError("matrix must be %d x %d" % (n, n))
     if not matrix_is_invertible(ring.field, rows):
-        raise ValueError("singular change of coordinates")
+        raise InputError("singular change of coordinates")
     den, ints = ring.field.integers(f.coeffs)
     # powers[i][e] = (image of x_i)^e, kept for the exponents e > 0 f uses
     powers = []

@@ -6,7 +6,21 @@ import json
 import pytest
 
 import cmreg.fields
-from cmreg import ParseError, RegularityReport, parse_input
+from cmreg import (
+    Ideal,
+    InputError,
+    MonomialIdeal,
+    ParseError,
+    PolynomialRing,
+    PrimeField,
+    RegularityReport,
+    apply_linear_change,
+    betti_table,
+    lcm_multidegrees,
+    parse_input,
+    reduced_groebner_basis,
+)
+from cmreg.betti import upper_koszul_complex
 from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
 
 from conftest import quartic_curve_ideal
@@ -203,6 +217,34 @@ class TestCli:
         doc = json.loads(out)
         assert "betti" in doc
         assert "hilbert_numerator" in doc
+
+    @pytest.mark.parametrize("method", ["c", "gin"])
+    def test_betti_of_a_non_monomial_input(self, curve_path, method):
+        # the table of S/in(I), as --method oracle prints it, beside the
+        # chosen route's answer and the R/in(I) note
+        code, out, err = run_cli(
+            ["compute", "--input", curve_path, "--method", method, "--betti", "--json"]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert set(doc["methods"]) == {method}
+        assert doc["notes"] == [
+            "oracle values describe R/in(I), the quotient by the initial ideal"
+        ]
+        _, oracle_out, _ = run_cli(
+            ["compute", "--input", curve_path, "--method", "oracle", "--betti", "--json"]
+        )
+        oracle = json.loads(oracle_out)
+        assert doc["betti"] == oracle["betti"]
+        assert doc["hilbert_numerator"] == oracle["hilbert_numerator"]
+
+    def test_human_output_shows_the_partial_invariants(self, curve_path):
+        argv = ["compute", "--input", curve_path, "--method", "oracle", "--t", "1"]
+        code, out, _ = run_cli(argv)
+        assert code == EXIT_OK
+        rep = json.loads(run_cli(argv + ["--json"])[1])["methods"]["oracle"]
+        for key in ("reg_t_quotient", "astar_t_quotient", "max_generator_degree"):
+            assert "  %s: %s" % (key, rep[key]) in out.splitlines()
 
     def test_monomial_all_methods(self, tmp_path):
         p = tmp_path / "m.ideal"
@@ -471,3 +513,69 @@ class TestRefusals:
         assert set(doc["methods"]) == {"c", "gin"}
         assert doc["methods_agree"] is True
         assert any("oracle" in note and "8 variables" in note for note in doc["notes"])
+
+    def test_out_of_scope_betti_keeps_the_c_answer(self, tmp_path):
+        p = tmp_path / "in.ideal"
+        p.write_text(
+            "ring: a b c d e f g h i\nfield: QQ\nideal:\na*b\nc*d\ne*f\ng*h\n"
+        )
+        code, out, err = run_cli(
+            ["compute", "--input", str(p), "--method", "c", "--betti", "--json"]
+        )
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["methods"]["c"]["reg_quotient"] == 4
+        assert "betti" not in doc
+        assert doc["notes"] == [
+            "oracle method skipped: oracle limited to 20 generators in 8 variables"
+        ]
+
+
+R2 = PolynomialRing(["x", "y"])
+X, Y = R2.gens()
+
+
+# each refusal is an InputError, and so still a ValueError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PrimeField(4),
+        lambda: Ideal(R2, [X * X + Y]),
+        lambda: MonomialIdeal.from_generators(R2, [(1, -1)]),
+        lambda: MonomialIdeal.from_generators(R2, [(1, 1, 0)]),
+        lambda: lcm_multidegrees(MonomialIdeal.from_generators(R2, [])),
+        lambda: lcm_multidegrees(MonomialIdeal.from_generators(R2, [(0, 0)])),
+        lambda: betti_table(MonomialIdeal.from_generators(R2, [(0, 0)])),
+        lambda: upper_koszul_complex(MonomialIdeal.from_generators(R2, [(1, 0)]), (1, 1, 1)),
+        lambda: apply_linear_change(X, [[1, 1], [1, 1]]),
+        lambda: apply_linear_change(PolynomialRing(["x", "y"], PrimeField(7)).variable(0), [[1, 0], [0, 7]]),
+    ],
+    ids=[
+        "composite-p",
+        "non-homogeneous",
+        "negative-exponent",
+        "wrong-length",
+        "lcms-of-zero",
+        "lcms-of-unit",
+        "betti-of-unit",
+        "koszul-wrong-length",
+        "singular-over-QQ",
+        "singular-over-GF7",
+    ],
+)
+def test_library_refusals_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: betti_table(Ideal(R2, [X])),
+        lambda: reduced_groebner_basis([X]),
+    ],
+    ids=["betti-of-Ideal", "groebner-of-list"],
+)
+def test_wrong_argument_types_are_type_errors(call):
+    with pytest.raises(TypeError):
+        call()

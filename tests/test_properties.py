@@ -1,9 +1,12 @@
 """Property tests on random monomial ideals over QQ: the c route against
 the Betti oracle at every cutoff t, and reg and a* under a change of
-coordinates; and on integer polynomials: reducing mod p commutes with the
-ring operations.  Derandomized, so that every run draws the same examples."""
+coordinates; on random monomial ideals over QQ and GF(2): the upper Koszul
+complex read off its facets against its definition; and on integer
+polynomials: reducing mod p commutes with the ring operations.
+Derandomized, so that every run draws the same examples."""
 
 import random
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,13 @@ from hypothesis import strategies as st
 from cmreg import (
     MonomialIdeal,
     PolynomialRing,
+    QQ,
     PrimeField,
     full_invariants,
     invariants_via_betti,
     s_polynomial,
 )
+from cmreg.betti import lcm_multidegrees, upper_koszul_complex
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -54,6 +59,48 @@ def test_reg_and_astar_survive_a_coordinate_change(J, seed):
     a = full_invariants(J)
     b = full_invariants(transform_ideal(J, m))
     assert (a.reg_quotient, a.astar_quotient) == (b.reg_quotient, b.astar_quotient)
+
+
+@st.composite
+def ideals_and_multidegrees(draw):
+    """A monomial ideal J in n <= 6 variables over QQ or GF(2) with up to 8
+    generators of exponents <= 3, the zero and unit ideals included, and
+    multidegrees b: every lcm of J's generators and a few random b, in J
+    or not."""
+    n = draw(st.integers(1, 6))
+    field = draw(st.sampled_from([QQ, PrimeField(2)]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(exponents, max_size=8))
+    J = MonomialIdeal.from_generators(PolynomialRing(["x%d" % i for i in range(n)], field), gens)
+    bs = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4))
+    if not (J.is_zero() or J.is_unit()):
+        bs += sorted(lcm_multidegrees(J))
+    return J, bs
+
+
+def koszul_by_definition(J, b):
+    """{sigma <= supp b : x^(b - e_sigma) in J}, by testing every sigma, as
+    the list of its levels by size with the empty levels at the top cut."""
+    support = [j for j, e in enumerate(b) if e > 0]
+    levels = [
+        [
+            sigma
+            for sigma in combinations(support, k)
+            if J.contains(tuple(e - (j in sigma) for j, e in enumerate(b)))
+        ]
+        for k in range(len(support) + 1)
+    ]
+    while levels and not levels[-1]:
+        levels.pop()
+    return levels
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ideals_and_multidegrees())
+def test_upper_koszul_complex_is_its_definition(case):
+    J, bs = case
+    for b in bs:
+        assert upper_koszul_complex(J, b) == koszul_by_definition(J, b)
 
 
 NAMES = ["x", "y", "z"]
