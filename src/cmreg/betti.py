@@ -63,34 +63,28 @@ def upper_koszul_complex(J, b):
 
 
 def _boundary_matrix(lower, upper):
-    """Boundary matrix from faces `upper` (dim d) to `lower` (dim d-1)."""
+    """Boundary matrix from faces `upper` (dim d) to `lower` (dim d-1), as
+    sparse rows {column: value}, one per face of `upper`."""
     index = {f: i for i, f in enumerate(lower)}
-    rows = []
-    for face in upper:
-        row = [0] * len(lower)
-        for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            row[index[sub]] = (-1) ** k
-        rows.append(row)
-    return rows
+    return [
+        {index[face[:k] + face[k + 1 :]]: (-1) ** k for k in range(len(face))}
+        for face in upper
+    ]
 
 
 def reduced_homology_ranks(by_dim, field_char=0):
-    """Reduced homology ranks of a simplicial complex given by faces per
-    dimension (including the empty face level at index 0)."""
-    if not by_dim:
-        return []
+    """Reduced homology ranks of a simplicial complex given by its faces
+    level by level (level k holds the faces with k vertices, so level 0 is
+    the empty face): the list of H~_{k-1} for k = 0 .. len(by_dim) - 1,
+    starting at H~_{-1}, which is 1 for {empty face} and 0 otherwise.
+    The void complex [] has no homology, and gives []."""
     counts = [len(level) for level in by_dim]
+    # boundary_ranks[k] = rank of the boundary map from level k to level k-1
     boundary_ranks = [0] * (len(by_dim) + 1)
-    for d in range(1, len(by_dim)):
-        mat = _boundary_matrix(by_dim[d - 1], by_dim[d])
-        boundary_ranks[d] = rank(mat, field_char)
-    # homology in dimension d (faces level d+1): ker - im
-    ranks = []
-    for d in range(len(by_dim) - 1):
-        level = d + 1
-        ranks.append(counts[level] - boundary_ranks[level] - boundary_ranks[level + 1])
-    return ranks
+    for k in range(1, len(by_dim)):
+        boundary_ranks[k] = rank(_boundary_matrix(by_dim[k - 1], by_dim[k]), field_char)
+    # H~_{k-1} = ker - im at level k
+    return [counts[k] - boundary_ranks[k] - boundary_ranks[k + 1] for k in range(len(by_dim))]
 
 
 class BettiTable:
@@ -128,8 +122,8 @@ def betti_table(J, field_char=None):
     """Betti table of S/J for a monomial ideal J, with ranks taken in
     characteristic `field_char` (by default that of J's field).
 
-    Rows i = 0, 1 are filled combinatorially from the minimal generators;
-    homology supplies i >= 2.
+    Row i = 0 is beta_{0,0} = 1; homology supplies every row i >= 1, row 1
+    (the minimal generators) from H~_{-1}.
     """
     if not isinstance(J, MonomialIdeal):
         raise TypeError("expected a MonomialIdeal")
@@ -138,14 +132,11 @@ def betti_table(J, field_char=None):
         return BettiTable(entries, J.n)
     if field_char is None:
         field_char = J.ring.field.characteristic
-    for g in J.gens:
-        key = (1, sum(g))
-        entries[key] = entries.get(key, 0) + 1
     for b in lcm_multidegrees(J):  # refuses the unit ideal and J beyond scope
         ranks = reduced_homology_ranks(upper_koszul_complex(J, b), field_char)
         j = sum(b)
-        # beta_{i,b}(S/J) = H~_{i-2}(K^b)
-        for i, r in enumerate(ranks, 2):
+        # beta_{i,b}(S/J) = H~_{i-2}(K^b), and ranks starts at H~_{-1}
+        for i, r in enumerate(ranks, 1):
             if r:
                 entries[(i, j)] = entries.get((i, j), 0) + r
     return BettiTable(entries, J.n)

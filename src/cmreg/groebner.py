@@ -31,7 +31,7 @@ from .orders import (
     mono_divides,
     mono_lcm,
 )
-from .rings import Polynomial, RingMismatchError
+from .rings import Polynomial, RingMismatchError, _check_same_ring
 
 
 class NonHomogeneousError(InputError):
@@ -45,7 +45,7 @@ class Ideal:
         gens = []
         for g in generators:
             if g.ring != ring:
-                raise ValueError("generator from a different ring")
+                raise RingMismatchError("generator from a different ring")
             if g.is_zero():
                 continue
             homog, _ = g.is_homogeneous()
@@ -111,6 +111,8 @@ def normal_form(f, basis):
     ring = f.ring
     field = ring.field
     p = field.characteristic
+    for g in basis:
+        _check_same_ring(f, g)
     reducers = [_reducer(g) for g in basis]
     den, ints = field.integers(f.coeffs)
     work = {_key(e): v for e, v in ints.items()}
@@ -161,8 +163,7 @@ def s_polynomial(f, g):
     """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g; leading terms cancel."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial")
-    if f.ring != g.ring:
-        raise RingMismatchError("polynomials from different rings")
+    _check_same_ring(f, g)
     f, g = f.monic(), g.monic()
     mf, mg = f.leading_monomial(), g.leading_monomial()
     lcm_fg = mono_lcm(mf, mg)

@@ -1,61 +1,64 @@
-"""Exact matrix ranks: fraction-free (Bareiss) over the integers and
-straightforward elimination over GF(p).  No floating point anywhere.
+"""Exact matrix ranks over QQ and GF(p), by one sparse elimination on
+integer rows held as {column: value}.  No floating point anywhere.
 """
+
+from math import gcd
 
 
 def rank(rows, characteristic):
-    """Rank of an integer matrix over QQ (characteristic 0) or GF(p)."""
+    """Rank of a sparse integer matrix over QQ (characteristic 0) or GF(p)."""
     if characteristic == 0:
         return rank_int(rows)
     return rank_mod_p(rows, characteristic)
 
 
 def rank_int(rows):
-    """Rank over QQ of an integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over QQ of sparse integer rows {column: value}."""
+    return _eliminate(rows, 0)
 
 
 def rank_mod_p(rows, p):
-    """Rank of a matrix over GF(p)."""
-    m = [[v % p for v in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], -1, p)
-        for r in range(row + 1, nrows):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank over GF(p) of sparse integer rows {column: value}."""
+    return _eliminate(rows, p)
+
+
+def _eliminate(rows, p):
+    """The number of pivot rows left by eliminating the rows in turn, over
+    GF(p) for a prime p and over QQ for p = 0.
+
+    A row is reduced at its smallest column by the pivot row stored for that
+    column, until it is zero or becomes the pivot row of a new column.  A
+    step r <- a*r - c*pivot, with a and c divided by their gcd, stays on
+    integers.  Over GF(p) values are residues and pivot rows are monic;
+    over QQ pivot rows are primitive with a positive lead.  So a = 1
+    whenever the pivot's lead is 1, and the row is updated in place.
+    """
+    pivots = {}
+    for row in rows:
+        row = {j: w for j, v in row.items() if (w := v % p if p else v)}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                if p:
+                    inv = pow(row[col], -1, p)
+                    pivots[col] = {j: v * inv % p for j, v in row.items()}
+                else:
+                    content = gcd(*row.values())
+                    if row[col] < 0:
+                        content = -content
+                    pivots[col] = {j: v // content for j, v in row.items()}
+                break
+            h = gcd(pivot[col], row[col])
+            a, c = pivot[col] // h, row[col] // h
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in pivot.items():
+                w = row.get(j, 0) - c * v
+                if p:
+                    w %= p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)

@@ -15,7 +15,7 @@ from .monomial_ideals import InputError
 from .orders import degrevlex_key
 
 
-class RingMismatchError(ValueError):
+class RingMismatchError(InputError):
     pass
 
 
@@ -57,7 +57,7 @@ class PolynomialRing:
     def monomial(self, exps):
         exps = tuple(exps)
         if len(exps) != self.n or any(e < 0 for e in exps):
-            raise ValueError("bad exponent vector %r" % (exps,))
+            raise InputError("bad exponent vector %r" % (exps,))
         return Polynomial(self, {exps: self.field(1)})
 
     def from_terms(self, terms):
@@ -65,8 +65,8 @@ class PolynomialRing:
         coeffs = {}
         for c, e in terms:
             e = tuple(e)
-            if len(e) != self.n:
-                raise ValueError("bad exponent vector %r" % (e,))
+            if len(e) != self.n or any(x < 0 for x in e):
+                raise InputError("bad exponent vector %r" % (e,))
             coeffs[e] = coeffs.get(e, 0) + (self.field(c) if isinstance(c, int) else c)
         return self.from_coeffs(coeffs)
 
@@ -257,7 +257,7 @@ def matrix_is_invertible(field, rows):
 
 @lru_cache(maxsize=8)
 def _full_rank(characteristic, rows):
-    return rank(rows, characteristic) == len(rows)
+    return rank([dict(enumerate(row)) for row in rows], characteristic) == len(rows)
 
 
 def apply_linear_change(f, rows):

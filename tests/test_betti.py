@@ -63,7 +63,7 @@ class TestUpperKoszul:
         J = MonomialIdeal.from_generators(R2, [(1, 0), (0, 1)])
         faces = upper_koszul_complex(J, (1, 1))
         assert faces == [[()], [(0,), (1,)]]
-        assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1))) == [1]
+        assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1))) == [0, 1]
 
     def test_full_simplex_is_acyclic(self, R2):
         J = MonomialIdeal.from_generators(R2, [(1, 0)])
@@ -73,17 +73,16 @@ class TestUpperKoszul:
     def test_empty_face_only_contributes_h_minus_one(self, R3):
         # b = lcm of nothing reachable: complex is the empty-face point set?
         # here x^b itself lies in J but no reduced multidegree does, so the
-        # complex is {empty face} and H~_{-1} would be 1 (dimension -1 rank
-        # is not reported; the list is empty)
+        # complex is {empty face}, whose only homology is H~_{-1} = 1
         J = MonomialIdeal.from_generators(R3, [(1, 1, 1)])
         faces = upper_koszul_complex(J, (1, 1, 1))
         assert faces == [[()]]
-        assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1, 1))) == []
+        assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1, 1))) == [1]
 
     def test_reduced_homology_of_circle(self):
-        # hollow triangle: H~_0 = 0, H~_1 = 1
+        # hollow triangle: H~_{-1} = 0, H~_0 = 0, H~_1 = 1
         faces = [[()], [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
-        assert reduced_homology_ranks(faces) == [0, 1]
+        assert reduced_homology_ranks(faces) == [0, 0, 1]
 
 
 class TestBettiTable:

@@ -9,6 +9,7 @@ from cmreg import (
     Ideal,
     MonomialIdeal,
     PolynomialRing,
+    PrimeField,
     hilbert_numerator,
     initial_ideal,
     normal_form,
@@ -17,6 +18,7 @@ from cmreg import (
 )
 from cmreg.groebner import NonHomogeneousError
 from cmreg.linalg import rank_int
+from cmreg.rings import RingMismatchError
 from cmreg.orders import mono_divides
 
 from conftest import (
@@ -47,6 +49,22 @@ class TestNormalForm:
         leads = [g.leading_monomial() for g in gb]
         for _, mono in r.terms:
             assert not any(mono_divides(lm, mono) for lm in leads)
+
+    @pytest.mark.parametrize(
+        "case", ["more-variables-divides", "more-variables-other", "other-field"]
+    )
+    def test_basis_from_another_ring(self, case):
+        # the wrong ring's x or z must not be read as x or y of f's ring
+        x, y = PolynomialRing(["x", "y"]).gens()
+        X, _, Z = PolynomialRing(["x", "y", "z"]).gens()
+        X7, Y7 = PolynomialRing(["x", "y"], PrimeField(7)).gens()
+        f, basis = {
+            "more-variables-divides": (x * y + y * y, [X]),
+            "more-variables-other": (x * y, [Z]),
+            "other-field": (x * y + y * y, [X7 + Y7]),
+        }[case]
+        with pytest.raises(RingMismatchError):
+            normal_form(f, basis)
 
 
 class TestSPolynomial:
@@ -164,7 +182,7 @@ def degree_dimension_by_row_reduction(I, d):
         for c in row:
             if c:
                 den = den * int(c.denominator) // _gcd(den, int(c.denominator))
-        int_rows.append([int(c * den) for c in row])
+        int_rows.append({i: int(c * den) for i, c in enumerate(row) if c})
     return rank_int(int_rows)
 
 

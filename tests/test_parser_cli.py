@@ -568,6 +568,32 @@ def test_library_refusals_are_input_errors(call):
         call()
 
 
+# a wrong exponent vector or a polynomial from another ring is refused with
+# an InputError too, not a plain ValueError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: R2.monomial((-1, 0)),
+        lambda: R2.monomial((1, 0, 0)),
+        lambda: R2.from_terms([(1, (1, 0, 0))]),
+        lambda: R2.from_terms([(1, (2, -1))]),
+        lambda: X + PolynomialRing(["x", "y", "z"]).variable(0),
+        lambda: Ideal(PolynomialRing(["x", "y", "z"]), [X]),
+    ],
+    ids=[
+        "monomial-negative",
+        "monomial-wrong-length",
+        "from-terms-wrong-length",
+        "from-terms-negative",
+        "mixed-rings-sum",
+        "ideal-of-another-ring",
+    ],
+)
+def test_exponent_and_ring_refusals_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,11 +1,14 @@
 """Property tests on random monomial ideals over QQ: the c route against
 the Betti oracle at every cutoff t, and reg and a* under a change of
 coordinates; on random monomial ideals over QQ and GF(2): the upper Koszul
-complex read off its facets against its definition; and on integer
-polynomials: reducing mod p commutes with the ring operations.
-Derandomized, so that every run draws the same examples."""
+complex read off its facets against its definition; on integer
+polynomials: reducing mod p commutes with the ring operations; and on
+sparse integer matrices over QQ and GF(p): the elimination kernel's rank
+against a dense elimination.  Derandomized, so that every run draws the
+same examples."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from cmreg import (
     s_polynomial,
 )
 from cmreg.betti import lcm_multidegrees, upper_koszul_complex
+from cmreg.linalg import rank
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
@@ -145,3 +149,54 @@ def test_reduction_mod_p_commutes_with_s_polynomials(p, f, g):
     assume(f.leading_coeff() % p and g.leading_coeff() % p)
     ring = PolynomialRing(NAMES, PrimeField(p))
     assert mod_p(s_polynomial(f, g), ring) == s_polynomial(mod_p(f, ring), mod_p(g, ring))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A characteristic (0 for QQ, or 2, 3, 32003) and up to 8 sparse rows
+    {column: value} over at most 8 columns, with entries up to +-1000 and
+    stored zeros: the empty matrix and zero rows included, and dependent
+    rows (repeats, multiples and sums of earlier rows) appended."""
+    p = draw(st.sampled_from([0, 2, 3, 32003]))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry), max_size=8))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, c = draw(entry), draw(entry)
+        cols = set(rows[i]) | set(rows[j])
+        rows.append({k: a * rows[i].get(k, 0) + c * rows[j].get(k, 0) for k in cols})
+    draw(st.randoms()).shuffle(rows)
+    return p, ncols, rows
+
+
+def dense_rank(rows, ncols, p):
+    """Rank by dense Gaussian elimination, in Fractions over QQ (p = 0)
+    and on residues mod p over GF(p)."""
+    if p:
+        m = [[row.get(k, 0) % p for k in range(ncols)] for row in rows]
+    else:
+        m = [[Fraction(row.get(k, 0)) for k in range(ncols)] for row in rows]
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inverse = pow(m[r][col], -1, p) if p else 1 / m[r][col]
+        for i in range(r + 1, len(m)):
+            f = m[i][col] * inverse
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if p:
+                m[i] = [a % p for a in m[i]]
+        r += 1
+    return r
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sparse_matrices())
+def test_sparse_rank_is_the_dense_rank(case):
+    p, ncols, rows = case
+    copies = [dict(row) for row in rows]
+    assert rank(rows, p) == dense_rank(rows, ncols, p)
+    assert rows == copies  # the kernel works on its own copies of the rows
