@@ -18,13 +18,34 @@ the product of these factors (the scale) is divided out of the remainder
 at the end through ``field(num, den)``.  The remainder is therefore exactly
 the one field arithmetic gives, not a multiple of it.  Over GF(p) the
 kernel works on residues mod p, with each basis element made monic.
+
+Buchberger can be given a Hilbert target: the initial ideal of the same
+ideal in other coordinates.  An invertible linear change g keeps the
+Hilbert series, HS(S/gI) = HS(S/I) = HS(S/in(I)), so the target tells the
+dimension of in(I) in every degree before in(I) is known (Traverso's
+Hilbert-driven Buchberger).  The leads found so far span a monomial ideal
+L inside in(I).  Before reducing a pair of lcm degree d, the loop compares
+dim L_d with dim in(I)_d; when they are equal the pair is skipped, because
+its S-polynomial lies in I in degree d and a nonzero remainder would have
+a lead in in(I)_d outside L_d.  Each nonzero remainder of degree d adds
+exactly one degree-d monomial to L_d, its lead, so the gap is counted down
+within a degree and L's Hilbert numerator is recomputed only when the
+degree changes and L has grown.  Once the numerators of L and of the
+target agree, L = in(I) and the basis is complete.  Only pairs whose
+normal form is zero are skipped, so the basis returned is the same with or
+without a target.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from operator import add, le, sub
 
-from .monomial_ideals import InputError, MonomialIdeal
+from .monomial_ideals import (
+    InputError,
+    MonomialIdeal,
+    hilbert_function_from_numerator,
+    hilbert_numerator,
+)
 from .orders import (
     mono_coprime,
     mono_div,
@@ -177,12 +198,20 @@ def s_polynomial(f, g):
     return f.ring.from_coeffs(coeffs)
 
 
-def buchberger(generators):
-    """Complete a list of nonzero polynomials to a Groebner basis."""
+def buchberger(generators, target=None):
+    """Complete a list of nonzero polynomials to a Groebner basis.
+
+    target, when given, is in(g I) for the ideal I the generators span and
+    some invertible linear change of coordinates g.  It only lets pairs
+    with a zero normal form be skipped (see the module docstring), so the
+    result is the same either way.  A target whose Hilbert function falls
+    below that of the leads in some degree is refused with an InputError.
+    """
     G = [g.monic() for g in generators if not g.is_zero()]
     if not G:
         return []
-    key = G[0].ring.key
+    ring = G[0].ring
+    key = ring.key
     leads = [g.leading_monomial() for g in G]
     # open pairs (i, j), i < j, popped by (key of their lcm, i, j)
     pairs = set()
@@ -196,9 +225,32 @@ def buchberger(generators):
 
     for j in range(1, len(G)):
         add_pairs(j)
+    goal = None if target is None else hilbert_numerator(target)
+    counted = 0  # len(leads) when the numerator of <leads> was taken
+    degree = None  # the lcm degree of the pairs being reduced
+    gap = 0  # dim in(I)_degree - dim <leads>_degree
     while heap:
         _, i, j, lcm_ij = heappop(heap)
         pairs.discard((i, j))
+        if goal is not None:
+            d = sum(lcm_ij)
+            if d != degree:
+                if len(leads) > counted:
+                    counted = len(leads)
+                    have = hilbert_numerator(MonomialIdeal.from_generators(ring, leads))
+                    if have == goal:
+                        break
+                degree = d
+                gap = hilbert_function_from_numerator(
+                    have, ring.n, d
+                ) - hilbert_function_from_numerator(goal, ring.n, d)
+                if gap < 0:
+                    raise InputError(
+                        "the target is not an initial ideal of this ideal: its "
+                        "Hilbert function is too small in degree %d" % d
+                    )
+            if not gap:
+                continue
         if mono_coprime(leads[i], leads[j]):
             continue
         # chain criterion: some k with lead_k | lcm and both side pairs done
@@ -217,6 +269,7 @@ def buchberger(generators):
             G.append(s)
             leads.append(s.leading_monomial())
             add_pairs(len(G) - 1)
+            gap -= 1
     return G
 
 
@@ -241,11 +294,13 @@ def interreduce(G):
     return reduced
 
 
-def reduced_groebner_basis(ideal):
-    """The unique reduced monic Groebner basis of a homogeneous ideal."""
+def reduced_groebner_basis(ideal, target=None):
+    """The unique reduced monic Groebner basis of a homogeneous ideal;
+    target, if known, is in(g ideal) for an invertible linear change g
+    (see buchberger)."""
     if not isinstance(ideal, Ideal):
         raise TypeError("expected an Ideal")
-    return interreduce(buchberger(list(ideal.generators)))
+    return interreduce(buchberger(list(ideal.generators), target))
 
 
 def initial_ideal(gb, ring=None):

@@ -44,6 +44,7 @@ __all__ = [
     "m_index",
     "divide_by_one_minus_t",
     "hilbert_function",
+    "hilbert_function_from_numerator",
     "hilbert_polynomial_value",
     "standard_monomials",
 ]
@@ -93,13 +94,13 @@ class MonomialIdeal:
         """True iff some minimal generator divides the monomial."""
         mono = tuple(mono)
         if len(mono) != self.n:
-            raise ValueError("monomial from a different ring")
+            raise InputError("monomial from a different ring")
         return any(mono_divides(g, mono) for g in self.gens)
 
     def set_vars_zero(self, i):
         """Substitute the last i variables by 0; result lives in n-i variables."""
         if not 0 <= i <= self.n - 1:
-            raise ValueError("i must be in [0, %d]" % (self.n - 1))
+            raise InputError("i must be in [0, %d]" % (self.n - 1))
         if i == 0:
             return self
         keep = self.n - i
@@ -292,17 +293,20 @@ def _binom_poly(a, k):
     return num // factorial(k)
 
 
-def hilbert_function(J, m):
-    """dim of the degree-m piece of S/J (coefficient of t^m in N/(1-t)^n)."""
+def hilbert_function_from_numerator(num, n, m):
+    """The coefficient of t^m in num(t)/(1-t)^n: for the Hilbert numerator
+    of a monomial ideal J in n variables, dim of the degree-m piece of S/J."""
     if m < 0:
         return 0
-    num = hilbert_numerator(J)
-    n = J.n
-    total = 0
-    for j, c in enumerate(num):
-        if j <= m:
-            total += c * _binom_poly(m - j + n - 1, n - 1)
-    return total
+    return sum(
+        c * _binom_poly(m - j + n - 1, n - 1) for j, c in enumerate(num[: m + 1])
+    )
+
+
+def hilbert_function(J, m):
+    """dim of the degree-m piece of S/J (coefficient of t^m in N/(1-t)^n)."""
+    return hilbert_function_from_numerator(hilbert_numerator(J), J.n, m)
+
 
 def hilbert_polynomial_value(J, m):
     """Value at m of the Hilbert polynomial of S/J."""

@@ -119,13 +119,20 @@ def _initial_of(I, rows=None):
     """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
     change of coordinates g given by rows (None: the identity).  Each is
     kept on I for the run, so that the routes share in(I) and the Gin draws
-    under --method all repeat the c route's retries."""
+    under --method all repeat the c route's retries.
+
+    Every in(g I) has the Hilbert series of I, so a MonomialIdeal I, or any
+    in(g' I) already kept, is Buchberger's Hilbert target."""
     if rows is None and isinstance(I, MonomialIdeal):
         return I
     key = None if rows is None else tuple(map(tuple, rows))
     if key not in I._initials:
         J = I if rows is None else transform_ideal(I, rows)
-        I._initials[key] = initial_ideal(reduced_groebner_basis(J), I.ring)
+        if isinstance(I, MonomialIdeal):
+            target = I
+        else:
+            target = next(iter(I._initials.values()), None)
+        I._initials[key] = initial_ideal(reduced_groebner_basis(J, target), I.ring)
     return I._initials[key]
 
 

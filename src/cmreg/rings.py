@@ -27,9 +27,9 @@ class PolynomialRing:
     def __init__(self, names, field=QQ):
         names = tuple(names)
         if not names:
-            raise ValueError("need at least one variable")
+            raise InputError("need at least one variable")
         if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
+            raise InputError("variable names must be distinct")
         self.names = names
         self.field = field
 
@@ -82,7 +82,7 @@ class PolynomialRing:
     def drop_last(self, i):
         """The subring on the first n-i variables, same field."""
         if not 0 <= i <= self.n - 1:
-            raise ValueError("cannot drop %d of %d variables" % (i, self.n))
+            raise InputError("cannot drop %d of %d variables" % (i, self.n))
         if i == 0:
             return self
         return PolynomialRing(self.names[: self.n - i], self.field)

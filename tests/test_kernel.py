@@ -4,8 +4,9 @@
 arithmetic: it rewrites the order-largest term of what is left with the
 first basis element whose lead divides it.  The kernel
 must return exactly its remainder, not a scalar multiple, over QQ, GF(2)
-and GF(32003).  The regression tests pin the pair order of `buchberger`
-and guard against coefficient growth in a coordinate change.
+and GF(32003).  The regression tests pin the pair order of `buchberger`,
+with and without a Hilbert target, and guard against coefficient growth
+in a coordinate change.
 """
 
 import random
@@ -230,4 +231,27 @@ def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, calls, zeros):
 
     monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
     buchberger(list(ideal.generators))
+    assert (len(results), sum(results)) == (calls, zeros)
+
+
+@pytest.mark.parametrize(
+    "with_target, calls, zeros", [(False, 29, 18), (True, 11, 0)], ids=["no-target", "target"]
+)
+def test_buchberger_pair_counts_of_a_retry_are_pinned(monkeypatch, with_target, calls, zeros):
+    # a retry of the dense quadrics in fixed coordinates; the Hilbert target
+    # in(I) of the untransformed ideal skips every pair that would reduce to
+    # zero in a degree where the leads already span in(g I)
+    ideal = dense_quadrics()
+    rows = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 2]]
+    target = initial_ideal(reduced_groebner_basis(ideal), ideal.ring) if with_target else None
+    results = []
+    original = cmreg.groebner.normal_form
+
+    def counted(f, basis):
+        r = original(f, basis)
+        results.append(r.is_zero())
+        return r
+
+    monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
+    buchberger(list(transform_ideal(ideal, rows).generators), target)
     assert (len(results), sum(results)) == (calls, zeros)

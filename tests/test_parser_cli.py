@@ -22,6 +22,7 @@ from cmreg import (
 )
 from cmreg.betti import upper_koszul_complex
 from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
+from cmreg.groebner import buchberger
 
 from conftest import quartic_curve_ideal
 
@@ -397,9 +398,9 @@ class TestOneInitialIdeal:
         calls = []
         original = cmreg.regularity.reduced_groebner_basis
 
-        def counted(ideal):
+        def counted(ideal, target=None):
             calls.append(ideal)
-            return original(ideal)
+            return original(ideal, target)
 
         monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
         return calls
@@ -549,6 +550,13 @@ X, Y = R2.gens()
         lambda: upper_koszul_complex(MonomialIdeal.from_generators(R2, [(1, 0)]), (1, 1, 1)),
         lambda: apply_linear_change(X, [[1, 1], [1, 1]]),
         lambda: apply_linear_change(PolynomialRing(["x", "y"], PrimeField(7)).variable(0), [[1, 0], [0, 7]]),
+        lambda: PolynomialRing([]),
+        lambda: PolynomialRing(["x", "x"]),
+        lambda: MonomialIdeal.from_generators(R2, [(1, 0)]).contains((1, 0, 0)),
+        lambda: MonomialIdeal.from_generators(R2, [(1, 0)]).set_vars_zero(2),
+        lambda: R2.drop_last(2),
+        # (x, y) leaves no quadric, (x^2) leaves two: (x^2) is no in(g I)
+        lambda: buchberger([X, Y], MonomialIdeal.from_generators(R2, [(2, 0)])),
     ],
     ids=[
         "composite-p",
@@ -561,6 +569,12 @@ X, Y = R2.gens()
         "koszul-wrong-length",
         "singular-over-QQ",
         "singular-over-GF7",
+        "no-variables",
+        "repeated-variable",
+        "contains-wrong-length",
+        "set-vars-zero-range",
+        "drop-last-range",
+        "foreign-hilbert-target",
     ],
 )
 def test_library_refusals_are_input_errors(call):

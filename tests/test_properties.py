@@ -4,8 +4,9 @@ coordinates; on random monomial ideals over QQ and GF(2): the upper Koszul
 complex read off its facets against its definition; on integer
 polynomials: reducing mod p commutes with the ring operations; and on
 sparse integer matrices over QQ and GF(p): the elimination kernel's rank
-against a dense elimination.  Derandomized, so that every run draws the
-same examples."""
+against a dense elimination; on random homogeneous ideals over QQ, GF(2)
+and GF(32003): Buchberger with a Hilbert target against Buchberger
+without one.  Derandomized, so that every run draws the same examples."""
 
 import random
 from fractions import Fraction
@@ -15,17 +16,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmreg import (
+    Ideal,
     MonomialIdeal,
     PolynomialRing,
     QQ,
     PrimeField,
     full_invariants,
+    initial_ideal,
     invariants_via_betti,
+    reduced_groebner_basis,
     s_polynomial,
 )
 from cmreg.betti import lcm_multidegrees, upper_koszul_complex
+from cmreg.groebner import buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.regularity import random_invertible_matrix, transform_ideal
+
+from conftest import monomials_of_degree
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -200,3 +207,30 @@ def test_sparse_rank_is_the_dense_rank(case):
     copies = [dict(row) for row in rows]
     assert rank(rows, p) == dense_rank(rows, ncols, p)
     assert rows == copies  # the kernel works on its own copies of the rows
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A nonzero homogeneous ideal in 3 variables over QQ, GF(2) or
+    GF(32003): 1 to 3 generators of degree 1 to 3, each with at most 4
+    terms and coefficients in [-5, 5]."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]))
+    ring = PolynomialRing(["x", "y", "z"], field)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = st.sampled_from(monomials_of_degree(3, draw(st.integers(1, 3))))
+        terms = draw(st.lists(st.tuples(st.integers(-5, 5), monos), min_size=1, max_size=4))
+        gens.append(ring.from_terms(terms))
+    I = Ideal(ring, gens)
+    assume(not I.is_zero())
+    return I
+
+
+@PROPERTY_SETTINGS
+@given(homogeneous_ideals(), st.integers(0, 2**32 - 1))
+def test_a_hilbert_target_leaves_the_reduced_basis_unchanged(I, seed):
+    # in(I) is a target for every g I: the two share their Hilbert series
+    target = initial_ideal(reduced_groebner_basis(I), I.ring)
+    m = random_invertible_matrix(random.Random(seed), 3, I.ring.field, bound=3)
+    gens = list(transform_ideal(I, m).generators)
+    assert interreduce(buchberger(gens, target)) == interreduce(buchberger(gens))

@@ -337,9 +337,9 @@ class TestOracleOnIdeals:
         calls = []
         original = cmreg.regularity.reduced_groebner_basis
 
-        def counted(ideal):
+        def counted(ideal, target=None):
             calls.append(ideal)
-            return original(ideal)
+            return original(ideal, target)
 
         monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
         invariants_via_betti(curve_ideal)
