@@ -163,7 +163,9 @@ def build_parser():
         help="retry in random coordinates on filter-regularity failure",
     )
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=1000, help="random matrix entry bound")
+    c.add_argument(
+        "--bound", type=int, default=1000, help="entry bound of the dense random matrices"
+    )
     c.add_argument("--json", action="store_true", help="machine-readable output")
     c.add_argument("--betti", action="store_true", help="include the Betti table")
     return p

@@ -46,7 +46,6 @@ __all__ = [
     "hilbert_function",
     "hilbert_function_from_numerator",
     "hilbert_polynomial_value",
-    "standard_monomials",
 ]
 
 
@@ -320,20 +319,3 @@ def hilbert_polynomial_value(J, m):
         total += c * _binom_poly(m - j + d - 1, d - 1)
     return total
 
-
-def standard_monomials(J, degree):
-    """All degree-d monomials outside J (exponent tuples)."""
-    out = []
-    for exps in _compositions(degree, J.n):
-        if not J.contains(exps):
-            out.append(exps)
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

@@ -41,6 +41,7 @@ from .monomial_ideals import (
 from .rings import apply_linear_change, matrix_is_invertible
 
 RETRY_CAP = 5  # random coordinate changes before the c route gives up
+RETRY_ENTRY_BOUND = 3  # entry bound of the c route's unitriangular retries
 DRAW_CAP = 8  # random draws before the Gin route gives up
 
 
@@ -118,8 +119,8 @@ def _check_input(J, t):
 def _initial_of(I, rows=None):
     """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
     change of coordinates g given by rows (None: the identity).  Each is
-    kept on I for the run, so that the routes share in(I) and the Gin draws
-    under --method all repeat the c route's retries.
+    kept on I for the run, so that the routes share in(I) and a matrix
+    drawn twice costs one Groebner basis.
 
     Every in(g I) has the Hilbert series of I, so a MonomialIdeal I, or any
     in(g' I) already kept, is Buchberger's Hilbert target."""
@@ -174,14 +175,26 @@ def _with_ideal_side(reg_q, astar_q, nonzero_ideal):
     return NEG_INF, NEG_INF, reg_q, astar_q
 
 
-def random_invertible_matrix(rng, n, field, bound=1000):
-    """A random integer matrix, redrawn until invertible over the field."""
+def _check_bound(bound):
     if bound < 1:
         raise InputError("the random matrix entry bound must be at least 1")
+
+
+def random_invertible_matrix(rng, n, field, bound=1000):
+    """A random integer matrix, redrawn until invertible over the field."""
+    _check_bound(bound)
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if matrix_is_invertible(field, rows):
             return rows
+
+
+def random_unitriangular_matrix(rng, n):
+    """The change x_j -> x_j + sum_{i<j} a_ji x_i with random integers a_ji
+    in [-RETRY_ENTRY_BOUND, RETRY_ENTRY_BOUND]: ones on the diagonal and
+    zeros above it, so it has determinant 1 over every field."""
+    b = RETRY_ENTRY_BOUND
+    return [[rng.randint(-b, b) if i < j else int(i == j) for i in range(n)] for j in range(n)]
 
 
 def transform_ideal(I, rows):
@@ -201,9 +214,12 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
     so the values are the full reg and a*).  On filter-regularity
     failure, retries in random coordinates when use_generic is set; reg
     and a* are coordinate-invariant, so the retried values are faithful.
-    Each pass computes one initial ideal: in(I) itself, then in(g I) for
-    each random change g.
+    The first RETRY_CAP - 1 changes are unitriangular with small entries,
+    which keeps coefficients small; the last is a dense draw with entries
+    in [-bound, bound].  Each pass computes one initial ideal: in(I)
+    itself, then in(g I) for each random change g.
     """
+    _check_bound(bound)
     J0 = _initial_of(I)
     _check_input(J0, t)
     dim = krull_dimension(J0)
@@ -224,7 +240,10 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
                 exc.retries = retries
                 raise
             retries += 1
-            m = random_invertible_matrix(rng, I.ring.n, I.ring.field, bound)
+            if retries < RETRY_CAP:
+                m = random_unitriangular_matrix(rng, I.ring.n)
+            else:
+                m = random_invertible_matrix(rng, I.ring.n, I.ring.field, bound)
             J = _initial_of(I, m)
     return RegularityReport(
         t=t_eff,
@@ -243,6 +262,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
 def generic_initial_ideal(I, seed=0, bound=1000):
     """Gin(I) by Monte Carlo: accept when two independent random
     coordinate changes give the same initial ideal and it is Borel-fixed."""
+    _check_bound(bound)
     ring = I.ring
     if ring.field.characteristic != 0:
         raise CharacteristicError(

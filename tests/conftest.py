@@ -62,9 +62,14 @@ def monomials_of_degree(n, d):
     return out
 
 
+def standard_monomials(J, d):
+    """All degree-d monomials outside J (exponent tuples), by brute force."""
+    return [m for m in monomials_of_degree(J.n, d) if not J.contains(m)]
+
+
 def count_standard_monomials(J, d):
     """Brute-force count of degree-d monomials outside J."""
-    return sum(1 for m in monomials_of_degree(J.n, d) if not J.contains(m))
+    return len(standard_monomials(J, d))
 
 
 def series_truncation(numerator, n, D):

@@ -24,7 +24,6 @@ from cmreg.monomial_ideals import (
     divide_by_one_minus_t,
     hilbert_function,
     hilbert_polynomial_value,
-    standard_monomials,
 )
 
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     random_monomial_ideal,
     randomized_pivot_numerator,
     series_truncation,
+    standard_monomials,
 )
 
 

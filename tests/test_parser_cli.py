@@ -74,6 +74,23 @@ def rp2_file(field):
     return "ring: x1 x2 x3 x4 x5 x6\nfield: %s\nideal:\n%s" % (field, RP2_NONFACES)
 
 
+# a monomial ideal over GF(2) for which none of the c route's RETRY_CAP
+# coordinate changes at seed 0 is filter-regular; the oracle gives reg 5
+GF2_NO_GENERIC_FILE = """\
+ring: x1 x2 x3 x4 x5 x6 x7
+field: GF(2)
+ideal:
+x1*x6
+x2^2
+x1*x5
+x2*x4
+x5*x6
+x1*x3*x4
+x3^2*x4*x7
+x4*x7^3
+"""
+
+
 class TestParser:
     def test_curve_file(self):
         doc = parse_input(CURVE_FILE)
@@ -313,8 +330,8 @@ class TestCli:
 
     def test_small_field_failure_names_the_field(self, tmp_path):
         # GF(2) has too few linear forms for generic coordinates
-        p = tmp_path / "rp2.ideal"
-        p.write_text(rp2_file("GF(2)"))
+        p = tmp_path / "gf2.ideal"
+        p.write_text(GF2_NO_GENERIC_FILE)
         code, _, err = run_cli(["compute", "--input", str(p), "--method", "c"])
         assert code == EXIT_MATH
         assert "retry with --generic" not in err
@@ -325,21 +342,32 @@ class TestCli:
         # the c route finds no generic coordinates over GF(2), Gin is
         # skipped there, and the oracle still answers: exit 1 with the
         # oracle's document and the c route's failure
-        p = tmp_path / "rp2.ideal"
-        p.write_text(rp2_file("GF(2)"))
+        p = tmp_path / "gf2.ideal"
+        p.write_text(GF2_NO_GENERIC_FILE)
         code, out, err = run_cli(
             ["compute", "--input", str(p), "--method", "all", "--betti", "--json"]
         )
         assert code == EXIT_MATH
         doc = json.loads(out)
         assert list(doc["methods"]) == ["oracle"]
-        assert doc["methods"]["oracle"]["reg_quotient"] == 3
+        assert doc["methods"]["oracle"]["reg_quotient"] == 5
         assert doc["hilbert_numerator"]
         # only the oracle answered, so nothing was compared
         assert doc["methods_agree"] is False
         assert doc["notes"][0].startswith("c method failed: filter-regularity fails")
         assert err.startswith("mathematical failure: filter-regularity fails")
         assert "GF(2) may be too small" in err
+
+    def test_c_route_answers_rp2_over_gf2(self, tmp_path):
+        # a unitriangular retry finds filter-regular coordinates over GF(2);
+        # reg and a* are those of the oracle in characteristic 2
+        p = tmp_path / "rp2.ideal"
+        p.write_text(rp2_file("GF(2)"))
+        code, out, _ = run_cli(["compute", "--input", str(p), "--method", "c", "--json"])
+        assert code == EXIT_OK
+        rep = json.loads(out)["methods"]["c"]
+        assert (rep["reg_quotient"], rep["astar_quotient"]) == (3, 0)
+        assert rep["generic_retries"] == 4
 
     def test_oracle_on_in_I_is_not_compared_without_the_c_route(self):
         # without a c report there is no sign that in(I) was read in
@@ -438,14 +466,14 @@ class TestOneInitialIdeal:
         assert "generic_retries" not in methods["c"]
         assert len(gb_calls) == 1 + methods["gin"]["gin_draws_total"]
 
-    def test_gin_reuses_the_c_route_retries(self, tmp_path, gb_calls):
-        # both routes seed the same generator, so Gin's first draw is the c
-        # route's retry matrix: one in(g I) for the two, then Gin's second
+    def test_gin_draws_apart_from_the_c_route_retry(self, tmp_path, gb_calls):
+        # the c route's retry is unitriangular and Gin's draws are dense, so
+        # the two share only in(I): one in(g I) for the retry, one per draw
         text = "ring: x1 x2\nfield: QQ\nideal:\nx1*x2\nx2^2\n"
         methods = self.run_json(tmp_path, text, "all")
         assert methods["c"]["generic_retries"] == 1
         assert methods["gin"]["gin_draws_total"] == 2
-        assert len(gb_calls) == 2
+        assert len(gb_calls) == 3
 
 
 NINE_VARIABLE_FILE = """\

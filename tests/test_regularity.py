@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cmreg.groebner
 import cmreg.regularity
 from cmreg import (
     NEG_INF,
@@ -25,8 +26,11 @@ from cmreg import (
     invariants_via_gin,
 )
 from cmreg.regularity import (
+    RETRY_CAP,
+    RETRY_ENTRY_BOUND,
     invariants_from_c,
     random_invertible_matrix,
+    random_unitriangular_matrix,
     transform_ideal,
 )
 from cmreg.rings import apply_linear_change
@@ -162,6 +166,62 @@ class TestFullInvariants:
         assert rep.reg_quotient == 1
         assert rep.astar_quotient == 1
         assert rep.dim_quotient == 1
+
+    def test_high_exponent_retry_is_unitriangular(self, monkeypatch):
+        # (x^20 y^20, y^20 z^20, x^20 z^20): every c_i is +inf in the given
+        # coordinates, and one small-entry retry answers reg 3d - 2
+        calls = []
+        original = cmreg.groebner.normal_form
+
+        def counted(f, basis):
+            calls.append(f)
+            return original(f, basis)
+
+        monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
+        R = PolynomialRing(["x", "y", "z"])
+        d = 20
+        I = MonomialIdeal.from_generators(R, [(d, d, 0), (0, d, d), (d, 0, d)])
+        rep = full_invariants(I)
+        assert rep.generic_retries == 1
+        assert (rep.reg_quotient, rep.astar_quotient) == (58, 57)
+        assert len(calls) == 42
+
+    def test_retries_are_unitriangular_then_dense(self, monkeypatch):
+        # over GF(2) no change of coordinates the route draws at seed 0 is
+        # filter-regular for this ideal: RETRY_CAP - 1 unitriangular
+        # changes, then one dense draw with entries up to --bound
+        drawn = []
+        for name in ("random_unitriangular_matrix", "random_invertible_matrix"):
+            original = getattr(cmreg.regularity, name)
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                m = _original(*args, **kwargs)
+                drawn.append((_name, m))
+                return m
+
+            monkeypatch.setattr(cmreg.regularity, name, recorded)
+        R = PolynomialRing(["x%d" % i for i in range(1, 8)], field=PrimeField(2))
+        gens = [
+            (1, 0, 0, 0, 0, 1, 0), (0, 2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0),
+            (0, 1, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0), (1, 0, 1, 1, 0, 0, 0),
+            (0, 0, 2, 1, 0, 0, 1), (0, 0, 0, 1, 0, 0, 3),
+        ]
+        with pytest.raises(FilterRegularityFailure) as exc:
+            full_invariants(MonomialIdeal.from_generators(R, gens), bound=50)
+        assert exc.value.retries == RETRY_CAP
+        names = [name for name, _ in drawn]
+        assert names == ["random_unitriangular_matrix"] * (RETRY_CAP - 1) + [
+            "random_invertible_matrix"
+        ]
+        assert max(abs(a) for row in drawn[-1][1] for a in row) <= 50
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_refused_before_any_retry(self, curve_ideal, bound):
+        # the quartic curve needs no retry, and a bad bound is still refused
+        with pytest.raises(InputError, match="bound"):
+            full_invariants(curve_ideal, bound=bound)
+        with pytest.raises(InputError, match="bound"):
+            generic_initial_ideal(curve_ideal, bound=bound)
 
     def test_shift_identities(self):
         rng = random.Random(11)
@@ -354,6 +414,21 @@ class TestRandomMatrices:
             from cmreg.rings import matrix_is_invertible
 
             assert matrix_is_invertible(R3.field, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_unitriangular(self, n):
+        rng = random.Random(41)
+        entries = set()
+        for _ in range(20):
+            m = random_unitriangular_matrix(rng, n)
+            assert len(m) == n and all(len(row) == n for row in m)
+            for j, row in enumerate(m):
+                assert row[j] == 1
+                assert not any(row[j + 1 :])
+                entries.update(row[:j])
+        assert entries <= set(range(-RETRY_ENTRY_BOUND, RETRY_ENTRY_BOUND + 1))
+        if n > 1:
+            assert len(entries) == 2 * RETRY_ENTRY_BOUND + 1
 
     def test_transform_preserves_homogeneity(self, curve_ideal):
         rng = random.Random(37)
