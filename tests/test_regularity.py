@@ -27,7 +27,6 @@ from cmreg import (
 )
 from cmreg.regularity import (
     RETRY_CAP,
-    RETRY_ENTRY_BOUND,
     invariants_from_c,
     random_invertible_matrix,
     random_unitriangular_matrix,
@@ -426,9 +425,8 @@ class TestRandomMatrices:
                 assert row[j] == 1
                 assert not any(row[j + 1 :])
                 entries.update(row[:j])
-        assert entries <= set(range(-RETRY_ENTRY_BOUND, RETRY_ENTRY_BOUND + 1))
-        if n > 1:
-            assert len(entries) == 2 * RETRY_ENTRY_BOUND + 1
+        # below the diagonal: every integer in [-3, 3] and nothing else
+        assert entries == (set(range(-3, 4)) if n > 1 else set())
 
     def test_transform_preserves_homogeneity(self, curve_ideal):
         rng = random.Random(37)
