@@ -37,6 +37,7 @@ from .monomial_ideals import (
 )
 from .parser import parse_input
 from .regularity import (
+    DENSE_ENTRY_BOUND,
     FilterRegularityFailure,
     full_invariants,
     invariants_via_betti,
@@ -101,6 +102,8 @@ def emit_json(doc):
 
 def _print_human(doc, out):
     def show(label, value):
+        if isinstance(value, list):  # the c list prints -inf, not '-inf'
+            value = "[%s]" % ", ".join(map(str, value))
         print("%s: %s" % (label, value), file=out)
 
     show("ring", " ".join(doc["input"]["variables"]))
@@ -164,7 +167,8 @@ def build_parser():
     )
     c.add_argument("--seed", type=int, default=0)
     c.add_argument(
-        "--bound", type=int, default=1000, help="entry bound of the dense random matrices"
+        "--bound", type=int, default=DENSE_ENTRY_BOUND,
+        help="entry bound of the dense random matrices",
     )
     c.add_argument("--json", action="store_true", help="machine-readable output")
     c.add_argument("--betti", action="store_true", help="include the Betti table")

@@ -37,6 +37,7 @@ __all__ = [
     "MathematicalFailure",
     "MonomialIdeal",
     "minimalize",
+    "exponent_vector",
     "hilbert_numerator",
     "quotient_top_degree",
     "krull_dimension",
@@ -47,6 +48,14 @@ __all__ = [
     "hilbert_function_from_numerator",
     "hilbert_polynomial_value",
 ]
+
+
+def exponent_vector(exps, n):
+    """exps as a tuple; an InputError unless it has n entries, none negative."""
+    exps = tuple(exps)
+    if len(exps) != n or any(e < 0 for e in exps):
+        raise InputError("bad exponent vector %r" % (exps,))
+    return exps
 
 
 def minimalize(gens):
@@ -73,11 +82,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, ring, gens):
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != ring.n or any(e < 0 for e in g):
-                raise InputError("bad exponent vector %r" % (g,))
-        return cls(ring, minimalize(gens))
+        return cls(ring, minimalize([exponent_vector(g, ring.n) for g in gens]))
 
     @property
     def n(self):

@@ -38,13 +38,6 @@ class InputDocument:
     def ideal(self):
         return Ideal(self.ring, self.generators)
 
-    def canonical_text(self):
-        lines = ["ring: %s" % " ".join(self.ring.names)]
-        lines.append("field: %s" % self.ring.field.name)
-        lines.append("ideal:")
-        lines.extend(str(g) for g in self.generators)
-        return "\n".join(lines) + "\n"
-
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(

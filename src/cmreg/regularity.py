@@ -14,14 +14,14 @@ random change of coordinates repairs it.
 
 The second route computes the generic initial ideal Gin(I) by Monte
 Carlo (two agreeing random coordinate changes plus a Borel-fixedness
-certificate) and reads the invariants off the degrees and top variable
-indices of Min(Gin).
+certificate) and reads the invariants off the c route on the accepted
+draw; an infinite c_i there fails the route.
 
 The third route reads them off the graded Betti table of S/in(I).
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .betti import BettiTable, betti_table, invariants_from_betti
@@ -35,13 +35,13 @@ from .monomial_ideals import (
     MonomialIdeal,
     is_borel_fixed,
     krull_dimension,
-    m_index,
     quotient_top_degree,
 )
 from .rings import apply_linear_change, matrix_is_invertible
 
 RETRY_CAP = 5  # random coordinate changes before the c route gives up
 RETRY_ENTRY_BOUND = 3  # entry bound of the c route's unitriangular retries
+DENSE_ENTRY_BOUND = 1000  # default entry bound of the dense random matrices
 DRAW_CAP = 8  # random draws before the Gin route gives up
 
 
@@ -180,7 +180,7 @@ def _check_bound(bound):
         raise InputError("the random matrix entry bound must be at least 1")
 
 
-def random_invertible_matrix(rng, n, field, bound=1000):
+def random_invertible_matrix(rng, n, field, bound=DENSE_ENTRY_BOUND):
     """A random integer matrix, redrawn until invertible over the field."""
     _check_bound(bound)
     while True:
@@ -207,7 +207,7 @@ def transform_ideal(I, rows):
     return Ideal(I.ring, [apply_linear_change(g, rows) for g in gens])
 
 
-def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
+def full_invariants(I, use_generic=True, seed=0, t=None, bound=DENSE_ENTRY_BOUND):
     """Regularity report for a proper homogeneous ideal.
 
     Computes c-invariants at t = dim(R/I) (where the maxima stabilize,
@@ -259,7 +259,7 @@ def full_invariants(I, use_generic=True, seed=0, t=None, bound=1000):
     )
 
 
-def generic_initial_ideal(I, seed=0, bound=1000):
+def generic_initial_ideal(I, seed=0, bound=DENSE_ENTRY_BOUND):
     """Gin(I) by Monte Carlo: accept when two independent random
     coordinate changes give the same initial ideal and it is Borel-fixed."""
     _check_bound(bound)
@@ -286,39 +286,19 @@ def generic_initial_ideal(I, seed=0, bound=1000):
     raise GinAgreementError(list(seen), draws)
 
 
-def invariants_via_gin(I, t=None, seed=0, bound=1000):
-    """Regularity report read off the minimal generators of Gin(I).
+def invariants_via_gin(I, t=None, seed=0, bound=DENSE_ENTRY_BOUND):
+    """Regularity report of the c route on Gin(I), at t (default n).
 
-    c_i = max{deg x^A : x^A in Min(Gin), m(x^A) = n - i} - 1, so that
-    reg_t(I) is the largest generator degree over m(x^A) >= n - t and
-    a*_t(I) the largest deg + m over the same range, shifted by n + 1.
+    A Borel-fixed initial ideal in characteristic 0 is strongly stable, so
+    its c_i are finite and give reg_t and a*_t exactly (Bayer-Stillman).
+    An infinite c_i on the accepted draw fails the route.
     """
     result = generic_initial_ideal(I, seed=seed, bound=bound)
-    gin = result.gin
-    _check_input(gin, t)
-    n = gin.n
-    t_eff = n if t is None else t
-    c = []
-    for i in range(min(t_eff, n - 1) + 1):
-        degs = [sum(g) for g in gin.gens if m_index(g) == n - i]
-        c.append(max(degs) - 1 if degs else NEG_INF)
-    if t_eff == n:
-        c.append(0)
-    nonzero = bool(gin.gens)
-    reg_i, astar_i, reg_q, astar_q = invariants_from_c(
-        c, t_eff, nonzero_ideal=nonzero
-    )
-    return RegularityReport(
-        t=t_eff,
-        c=tuple(c),
-        reg_ideal=reg_i,
-        astar_ideal=astar_i,
-        reg_quotient=reg_q,
-        astar_quotient=astar_q,
-        dim_quotient=krull_dimension(gin),
-        method="gin",
-        gin=result,
-    )
+    try:
+        report = full_invariants(result.gin, use_generic=False, t=result.gin.n if t is None else t)
+    except FilterRegularityFailure as exc:
+        raise MathematicalFailure("the accepted Gin draw has no finite c list: %s" % exc) from exc
+    return replace(report, method="gin", initial_ideal=None, gin=result)
 
 
 def invariants_via_betti(I, t=None):

@@ -11,7 +11,7 @@ from operator import add
 
 from .fields import QQ
 from .linalg import rank
-from .monomial_ideals import InputError
+from .monomial_ideals import InputError, exponent_vector
 from .orders import degrevlex_key
 
 
@@ -55,18 +55,13 @@ class PolynomialRing:
         return self.monomial(tuple(e))
 
     def monomial(self, exps):
-        exps = tuple(exps)
-        if len(exps) != self.n or any(e < 0 for e in exps):
-            raise InputError("bad exponent vector %r" % (exps,))
-        return Polynomial(self, {exps: self.field(1)})
+        return Polynomial(self, {exponent_vector(exps, self.n): self.field(1)})
 
     def from_terms(self, terms):
         """Build a polynomial from (coeff, exps) pairs, collecting duplicates."""
         coeffs = {}
         for c, e in terms:
-            e = tuple(e)
-            if len(e) != self.n or any(x < 0 for x in e):
-                raise InputError("bad exponent vector %r" % (e,))
+            e = exponent_vector(e, self.n)
             coeffs[e] = coeffs.get(e, 0) + (self.field(c) if isinstance(c, int) else c)
         return self.from_coeffs(coeffs)
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cmreg import Ideal, MonomialIdeal, PolynomialRing
+from cmreg import NEG_INF, GinResult, Ideal, MonomialIdeal, PolynomialRing, m_index
 from cmreg.monomial_ideals import minimalize
 
 NAMES = ["x1", "x2", "x3", "x4"]
@@ -162,6 +162,25 @@ def randomized_pivot_numerator(J, rng):
         return padd(recurse(plus), [0] + recurse(colon))
 
     return recurse(list(J.gens))
+
+
+def gin_c_reference(gin, t):
+    """c_0, ..., c_t of a Borel-fixed ideal read off its minimal generators:
+    c_i = max{deg u - 1 : u in Min(gin), m(u) = n - i}, -inf when no
+    generator qualifies, and c_n = 0 closes the list."""
+    n = gin.n
+    c = [
+        max((sum(u) - 1 for u in gin.gens if m_index(u) == n - i), default=NEG_INF)
+        for i in range(min(t, n - 1) + 1)
+    ]
+    return c + [0] if t == n else c
+
+
+def non_borel_draw(I, seed=0, bound=None):
+    """A stand-in for generic_initial_ideal whose accepted draw is (x1*x2)
+    in two variables: not Borel-fixed, and c_0 = +inf."""
+    gin = MonomialIdeal.from_generators(I.ring, [(1, 1)])
+    return GinResult(gin=gin, draws_agreed=2, borel_certified=True, draws_total=2)
 
 
 def all_subsets(items):

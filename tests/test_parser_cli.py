@@ -24,7 +24,7 @@ from cmreg.betti import upper_koszul_complex
 from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
 from cmreg.groebner import buchberger
 
-from conftest import quartic_curve_ideal
+from conftest import non_borel_draw, quartic_curve_ideal
 
 CURVE_FILE = """\
 # quartic space curve example
@@ -131,12 +131,6 @@ class TestParser:
         doc = parse_input("ring: x y\nfield: QQ\nideal:\nx*y - x*y\nx^2\n")
         assert len(doc.generators) == 1
 
-    def test_canonical_text_round_trip(self):
-        doc = parse_input(CURVE_FILE)
-        again = parse_input(doc.canonical_text())
-        assert again.generators == doc.generators
-        assert again.canonical_text() == doc.canonical_text()
-
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -197,6 +191,11 @@ class TestCli:
         assert "reg_quotient: 2" in out
         assert "astar_quotient: 1" in out
         assert err == ""
+
+    def test_human_output_prints_the_c_list_as_numbers(self, curve_path):
+        code, out, _ = run_cli(["compute", "--input", curve_path, "--t", "2"])
+        assert code == EXIT_OK
+        assert "  c: [-inf, 2, 2]" in out.splitlines()
 
     def test_compute_json_values(self, curve_path):
         code, out, _ = run_cli(
@@ -309,6 +308,17 @@ class TestCli:
         code, out, _ = run_cli(["compute", "--input", str(p), "--method", "all"])
         assert code == EXIT_OK
         assert "note: gin method skipped over GF(7)" in out.splitlines()
+
+    def test_gin_fails_on_a_draw_with_an_infinite_c(self, tmp_path, monkeypatch):
+        # (x1*x2) is not Borel-fixed: c_0 = +inf, so no a* is read off it
+        p = tmp_path / "frf.ideal"
+        p.write_text(FRF_FILE)
+        monkeypatch.setattr(cmreg.regularity, "generic_initial_ideal", non_borel_draw)
+        for generic in ("--generic", "--no-generic"):
+            code, out, err = run_cli(["compute", "--input", str(p), "--method", "gin", generic])
+            assert (code, out) == (EXIT_MATH, "")
+            assert "Gin draw" in err and "c_0 = +inf" in err
+            assert "--generic" not in err and "too small" not in err
 
     def test_filter_failure_without_generic(self, tmp_path):
         p = tmp_path / "frf.ideal"

@@ -6,7 +6,9 @@ polynomials: reducing mod p commutes with the ring operations; and on
 sparse integer matrices over QQ and GF(p): the elimination kernel's rank
 against a dense elimination; on random homogeneous ideals over QQ, GF(2)
 and GF(32003): Buchberger with a Hilbert target against Buchberger
-without one.  Derandomized, so that every run draws the same examples."""
+without one; on random homogeneous ideals over QQ: Gin's c list against
+the degrees of Min(Gin).  Derandomized, so that every run draws the same
+examples."""
 
 import random
 from fractions import Fraction
@@ -24,6 +26,7 @@ from cmreg import (
     full_invariants,
     initial_ideal,
     invariants_via_betti,
+    invariants_via_gin,
     reduced_groebner_basis,
     s_polynomial,
 )
@@ -32,7 +35,7 @@ from cmreg.groebner import buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
-from conftest import monomials_of_degree
+from conftest import gin_c_reference, monomials_of_degree
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -234,3 +237,31 @@ def test_a_hilbert_target_leaves_the_reduced_basis_unchanged(I, seed):
     m = random_invertible_matrix(random.Random(seed), 3, I.ring.field, bound=3)
     gens = list(transform_ideal(I, m).generators)
     assert interreduce(buchberger(gens, target)) == interreduce(buchberger(gens))
+
+
+@st.composite
+def qq_ideals(draw):
+    """A nonzero homogeneous ideal over QQ in 2 to 4 variables: 2 to 4
+    generators of degree 1 to 3, each with 1 to 3 terms and nonzero
+    coefficients in [-3, 3]."""
+    n = draw(st.integers(2, 4))
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)])
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        monos = st.sampled_from(monomials_of_degree(n, draw(st.integers(1, 3))))
+        terms = draw(st.lists(st.tuples(coeffs, monos), min_size=1, max_size=3))
+        gens.append(ring.from_terms(terms))
+    I = Ideal(ring, gens)
+    assume(not I.is_zero())
+    return I
+
+
+@PROPERTY_SETTINGS
+@given(qq_ideals(), st.integers(0, 2**32 - 1))
+def test_gin_c_list_is_read_off_the_generators_of_gin(I, seed):
+    # Gin is strongly stable, so the c route on it gives, at every t,
+    # c_i = max{deg u - 1 : u in Min(Gin), m(u) = n - i}
+    for t in range(I.ring.n + 1):
+        rep = invariants_via_gin(I, t=t, seed=seed)
+        assert list(rep.c) == gin_c_reference(rep.gin.gin, t)

@@ -14,6 +14,7 @@ from cmreg import (
     FilterRegularityFailure,
     Ideal,
     InputError,
+    MathematicalFailure,
     MonomialIdeal,
     PolynomialRing,
     PrimeField,
@@ -34,7 +35,7 @@ from cmreg.regularity import (
 )
 from cmreg.rings import apply_linear_change
 
-from conftest import random_homogeneous_ideal, random_monomial_ideal
+from conftest import non_borel_draw, random_homogeneous_ideal, random_monomial_ideal
 
 
 def frf_witness(R2):
@@ -316,6 +317,15 @@ class TestGin:
         assert (rep.reg_quotient, rep.astar_quotient) == (2, 1)
         assert (rep.reg_ideal, rep.astar_ideal) == (3, 1)
         assert rep.method == "gin"
+
+    def test_gin_route_fails_on_a_draw_with_an_infinite_c(self, R2, monkeypatch):
+        # Gin(x1*x2) is (x1^2); a draw loop that accepted (x1*x2) would read
+        # a*(S/I) = 1 off its generators, but a*(S/(x1*x2)) = 0
+        monkeypatch.setattr(cmreg.regularity, "generic_initial_ideal", non_borel_draw)
+        I = MonomialIdeal.from_generators(R2, [(1, 1)])
+        for t in (None, 0, 1, 2):
+            with pytest.raises(MathematicalFailure, match=r"c_0 = \+inf"):
+                invariants_via_gin(I, t=t)
 
     def test_gin_route_random_agreement(self):
         rng = random.Random(23)
