@@ -19,15 +19,22 @@ at the end through ``field(num, den)``.  The remainder is therefore exactly
 the one field arithmetic gives, not a multiple of it.  Over GF(p) the
 kernel works on residues mod p, with each basis element made monic.
 
-Buchberger can be given a Hilbert target: the initial ideal of the same
-ideal in other coordinates.  An invertible linear change g keeps the
-Hilbert series, HS(S/gI) = HS(S/I) = HS(S/in(I)), so the target tells the
-dimension of in(I) in every degree before in(I) is known (Traverso's
-Hilbert-driven Buchberger).  The leads found so far span a monomial ideal
-L inside in(I).  Before reducing a pair of lcm degree d, the loop compares
-dim L_d with dim in(I)_d; when they are equal the pair is skipped, because
-its S-polynomial lies in I in degree d and a nonzero remainder would have
-a lead in in(I)_d outside L_d.  Each nonzero remainder of degree d adds
+Buchberger can be given a Hilbert target: a series that HS(S/I) is at
+least in every degree, with equality for an initial ideal.  The initial
+ideal of the same ideal in other coordinates is one: an invertible linear
+change g keeps the Hilbert series, HS(S/gI) = HS(S/I) = HS(S/in(I))
+(Traverso's Hilbert-driven Buchberger).  Before any basis is known, r <= n
+forms of degrees d_i have one in the degree bound prod (1 - t^{d_i}) / (1-t)^n,
+with equality exactly for a complete intersection: dim I_k is the rank of
+the map (f_1..f_r) from the sum of the S_{k-d_i} to S_k, which is at most
+its rank for forms with indeterminate coefficients, and the exact Koszul
+complex of x_1^{d_1}, ..., x_r^{d_r} pins that rank at dim S_k minus the
+bound's k-th coefficient (Froeberg).  The leads found so far span a
+monomial ideal L inside in(I), so dim L_d <= dim in(I)_d <= dim S_d minus
+the target's coefficient.  Before reducing a pair of lcm degree d, the loop
+compares the two ends; when they are equal the pair is skipped, because
+its S-polynomial lies in I in degree d and a nonzero remainder would have a
+lead in in(I)_d outside L_d.  Each nonzero remainder of degree d adds
 exactly one degree-d monomial to L_d, its lead, so the gap is counted down
 within a degree and L's Hilbert numerator is recomputed only when the
 degree changes and L has grown.  Once the numerators of L and of the
@@ -201,11 +208,18 @@ def s_polynomial(f, g):
 def buchberger(generators, target=None):
     """Complete a list of nonzero polynomials to a Groebner basis.
 
-    target, when given, is in(g I) for the ideal I the generators span and
-    some invertible linear change of coordinates g.  It only lets pairs
-    with a zero normal form be skipped (see the module docstring), so the
-    result is the same either way.  A target whose Hilbert function falls
-    below that of the leads in some degree is refused with an InputError.
+    target, when given, is a Hilbert target for the ideal I the generators
+    span, with one meaning: HS(S/I) is at least this series, with equality
+    for an in(g I).  It is a Hilbert numerator (coefficient list), or a
+    MonomialIdeal in(g I) for an invertible linear change of coordinates g,
+    which stands for its numerator.  For r <= n forms of degrees d_i the
+    numerator prod (1 - t^{d_i}) is one: dim I_k is at most the rank of
+    the same map for forms with indeterminate coefficients, and the exact
+    Koszul complex of x_1^{d_1}, ..., x_r^{d_r} makes that rank dim S_k
+    minus the bound's k-th coefficient.  A target only lets pairs with a
+    zero normal form be skipped (see the module docstring), so the result
+    is the same either way.  A target whose series exceeds that of
+    S/(leads) in some degree is refused with an InputError.
     """
     G = [g.monic() for g in generators if not g.is_zero()]
     if not G:
@@ -225,10 +239,10 @@ def buchberger(generators, target=None):
 
     for j in range(1, len(G)):
         add_pairs(j)
-    goal = None if target is None else hilbert_numerator(target)
+    goal = hilbert_numerator(target) if isinstance(target, MonomialIdeal) else target
     counted = 0  # len(leads) when the numerator of <leads> was taken
     degree = None  # the lcm degree of the pairs being reduced
-    gap = 0  # dim in(I)_degree - dim <leads>_degree
+    gap = 0  # dim S_degree - [target]_degree - dim <leads>_degree
     while heap:
         _, i, j, lcm_ij = heappop(heap)
         pairs.discard((i, j))
@@ -246,8 +260,8 @@ def buchberger(generators, target=None):
                 ) - hilbert_function_from_numerator(goal, ring.n, d)
                 if gap < 0:
                     raise InputError(
-                        "the target is not an initial ideal of this ideal: its "
-                        "Hilbert function is too small in degree %d" % d
+                        "the target is not a Hilbert target of this ideal: it "
+                        "exceeds the series of S/(leads) in degree %d" % d
                     )
             if not gap:
                 continue
@@ -296,8 +310,9 @@ def interreduce(G):
 
 def reduced_groebner_basis(ideal, target=None):
     """The unique reduced monic Groebner basis of a homogeneous ideal;
-    target, if known, is in(g ideal) for an invertible linear change g
-    (see buchberger)."""
+    target, if known, is a Hilbert target for it: in(g ideal) for an
+    invertible linear change g, or a numerator that HS(S/ideal) is at
+    least (see buchberger)."""
     if not isinstance(ideal, Ideal):
         raise TypeError("expected an Ideal")
     return interreduce(buchberger(list(ideal.generators), target))

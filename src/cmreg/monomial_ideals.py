@@ -39,6 +39,7 @@ __all__ = [
     "minimalize",
     "exponent_vector",
     "hilbert_numerator",
+    "complete_intersection_numerator",
     "quotient_top_degree",
     "krull_dimension",
     "is_borel_fixed",
@@ -197,6 +198,18 @@ def hilbert_numerator(J):
     return recurse(tuple(J.gens))
 
 
+def complete_intersection_numerator(degrees):
+    """Coefficients of the product of (1 - t^d) over the degrees d: the
+    Hilbert numerator of S/I for a complete intersection I of forms of
+    these degrees.  For any r <= n forms of these degrees HS(S/I) is at
+    least this numerator over (1-t)^n (Froeberg, Math. Scand. 56, 1985; see
+    groebner.buchberger); for r > n the product bounds nothing."""
+    out = [1]
+    for d in degrees:
+        out = _psub(out, _pshift(out, d))
+    return out
+
+
 def _numerator(gens, recurse):
     if not gens:
         return [1]
@@ -208,10 +221,7 @@ def _numerator(gens, recurse):
     nvars = len(gens[0])
     # pure-power base case: every generator involves a single variable
     if all(sum(1 for e in g if e > 0) == 1 for g in gens):
-        out = [1]
-        for g in gens:
-            out = _psub(out, _pshift(out, sum(g)))
-        return out
+        return complete_intersection_numerator(sum(g) for g in gens)
     # pivot among variables of mixed generators only, so both branches shrink
     mixed = [g for g in gens if sum(1 for e in g if e > 0) >= 2]
     mixed_support = {i for g in mixed for i in range(nvars) if g[i] > 0}

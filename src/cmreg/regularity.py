@@ -33,6 +33,7 @@ from .monomial_ideals import (
     InputError,
     MathematicalFailure,
     MonomialIdeal,
+    complete_intersection_numerator,
     is_borel_fixed,
     krull_dimension,
     quotient_top_degree,
@@ -123,7 +124,11 @@ def _initial_of(I, rows=None):
     drawn twice costs one Groebner basis.
 
     Every in(g I) has the Hilbert series of I, so a MonomialIdeal I, or any
-    in(g' I) already kept, is Buchberger's Hilbert target."""
+    in(g' I) already kept, is Buchberger's Hilbert target.  Before any is
+    kept, an Ideal of r <= n generators of degrees d_i has the degree bound
+    prod (1 - t^{d_i}) as its target: HS(S/I) is at least that series, with
+    equality exactly for a complete intersection (see buchberger).  More
+    generators get no target, since their product bounds nothing."""
     if rows is None and isinstance(I, MonomialIdeal):
         return I
     key = None if rows is None else tuple(map(tuple, rows))
@@ -131,8 +136,12 @@ def _initial_of(I, rows=None):
         J = I if rows is None else transform_ideal(I, rows)
         if isinstance(I, MonomialIdeal):
             target = I
+        elif I._initials:
+            target = next(iter(I._initials.values()))
+        elif len(I.generators) <= I.ring.n:
+            target = complete_intersection_numerator(g.degree() for g in I.generators)
         else:
-            target = next(iter(I._initials.values()), None)
+            target = None
         I._initials[key] = initial_ideal(reduced_groebner_basis(J, target), I.ring)
     return I._initials[key]
 

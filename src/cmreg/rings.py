@@ -269,17 +269,11 @@ def apply_linear_change(f, rows):
     if not matrix_is_invertible(ring.field, rows):
         raise InputError("singular change of coordinates")
     den, ints = ring.field.integers(f.coeffs)
-    # powers[i][e] = (image of x_i)^e, kept for the exponents e > 0 f uses
-    powers = []
-    for i, row in enumerate(rows):
-        image = {tuple(int(k == j) for k in range(n)): a for j, a in enumerate(row) if a}
-        used = {exps[i] for exps in ints}
-        power, powers_i = {(0,) * n: 1}, {}
-        for e in range(1, max(used, default=0) + 1):
-            power = _times(power, image)
-            if e in used:
-                powers_i[e] = power
-        powers.append(powers_i)
+    # powers[i][e] = (image of x_i)^e, for the exponents e > 0 f uses
+    powers = [
+        {e: _power_of_form(row, e) for e in {exps[i] for exps in ints} if e}
+        for i, row in enumerate(rows)
+    ]
     result = {}
     for exps, c in ints.items():
         term = {(0,) * n: c}
@@ -289,6 +283,36 @@ def apply_linear_change(f, rows):
         for t, v in term.items():
             result[t] = result.get(t, 0) + v
     return Polynomial(ring, {t: c for t, v in result.items() if (c := ring.field(v, den))})
+
+
+def _power_of_form(row, e):
+    """(row . x)^e as {exponent tuple: integer}, by the multinomial theorem.
+
+    The coefficient of x^k is e! / (k_1! ... k_n!) times the product of the
+    row[j]^k_j.  It is built one variable of the row's support at a time, as
+    a product of binomials C(left, k_j) that the recurrence
+    C(left, k + 1) = C(left, k) (left - k) / (k + 1) steps through, so the
+    work is proportional to the number of terms, with no factorial per term.
+    """
+    support = [j for j, a in enumerate(row) if a]
+    pows = {j: [row[j] ** k for k in range(e + 1)] for j in support}
+    last = support.pop()
+    exps = [0] * len(row)
+    out = {}
+
+    def expand(s, left, coeff):
+        if s == len(support):
+            exps[last] = left
+            out[tuple(exps)] = coeff * pows[last][left]
+            return
+        j, pow_j, binom = support[s], pows[support[s]], 1
+        for k in range(left + 1):
+            exps[j] = k
+            expand(s + 1, left - k, coeff * binom * pow_j[k])
+            binom = binom * (left - k) // (k + 1)
+
+    expand(0, e, 1)
+    return out
 
 
 def _times(a, b):

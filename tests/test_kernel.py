@@ -5,8 +5,9 @@ arithmetic: it rewrites the order-largest term of what is left with the
 first basis element whose lead divides it.  The kernel
 must return exactly its remainder, not a scalar multiple, over QQ, GF(2)
 and GF(32003).  The regression tests pin the pair order of `buchberger`,
-with and without a Hilbert target, and guard against coefficient growth
-in a coordinate change.
+with and without a Hilbert target (an initial ideal in other coordinates
+or the degree bound of the generators), and guard against coefficient
+growth in a coordinate change.
 """
 
 import random
@@ -30,6 +31,7 @@ from cmreg import (
     s_polynomial,
 )
 from cmreg.groebner import buchberger
+from cmreg.monomial_ideals import complete_intersection_numerator
 from cmreg.orders import mono_coprime, mono_div, mono_divides, mono_lcm
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
@@ -210,17 +212,24 @@ def dense_quadrics():
 
 
 @pytest.mark.parametrize(
-    "ideal, calls, zeros",
+    "ideal, with_bound, calls, zeros",
     [
-        (quartic_curve_ideal(PolynomialRing(["x1", "x2", "x3", "x4"])), 4, 4),
-        (dense_quadrics(), 29, 18),
+        (quartic_curve_ideal(PolynomialRing(["x1", "x2", "x3", "x4"])), False, 4, 4),
+        (quartic_curve_ideal(PolynomialRing(["x1", "x2", "x3", "x4"])), True, 4, 4),
+        (dense_quadrics(), False, 29, 18),
+        (dense_quadrics(), True, 11, 0),
     ],
-    ids=["quartic-curve", "dense-quadrics"],
+    ids=["quartic-curve", "quartic-curve-bound", "dense-quadrics", "dense-quadrics-bound"],
 )
-def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, calls, zeros):
+def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, with_bound, calls, zeros):
     # the pair order (normal strategy, ties by index) and the coprime and
     # chain criteria decide how many S-polynomials are reduced and how many
-    # reduce to zero; a change to either moves these counts
+    # reduce to zero; a change to either moves these counts.  The degree
+    # bound prod (1 - t^{d_i}) is attained by the dense quadrics, a complete
+    # intersection, so it skips every zero reduction; the quartic curve is
+    # not one, and the bound skips none of its pairs
+    degrees = [g.degree() for g in ideal.generators]
+    target = complete_intersection_numerator(degrees) if with_bound else None
     results = []
     original = cmreg.groebner.normal_form
 
@@ -230,7 +239,7 @@ def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, calls, zeros):
         return r
 
     monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
-    buchberger(list(ideal.generators))
+    buchberger(list(ideal.generators), target)
     assert (len(results), sum(results)) == (calls, zeros)
 
 

@@ -6,9 +6,10 @@ polynomials: reducing mod p commutes with the ring operations; and on
 sparse integer matrices over QQ and GF(p): the elimination kernel's rank
 against a dense elimination; on random homogeneous ideals over QQ, GF(2)
 and GF(32003): Buchberger with a Hilbert target against Buchberger
-without one; on random homogeneous ideals over QQ: Gin's c list against
-the degrees of Min(Gin).  Derandomized, so that every run draws the same
-examples."""
+without one; on at most n random forms over QQ, GF(2) and GF(32003):
+their degree bound prod (1 - t^{d_i}) as a Hilbert target; on random
+homogeneous ideals over QQ: Gin's c list against the degrees of Min(Gin).
+Derandomized, so that every run draws the same examples."""
 
 import random
 from fractions import Fraction
@@ -33,6 +34,11 @@ from cmreg import (
 from cmreg.betti import lcm_multidegrees, upper_koszul_complex
 from cmreg.groebner import buchberger, interreduce
 from cmreg.linalg import rank
+from cmreg.monomial_ideals import (
+    complete_intersection_numerator,
+    hilbert_function,
+    hilbert_function_from_numerator,
+)
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
 from conftest import gin_c_reference, monomials_of_degree
@@ -237,6 +243,49 @@ def test_a_hilbert_target_leaves_the_reduced_basis_unchanged(I, seed):
     m = random_invertible_matrix(random.Random(seed), 3, I.ring.field, bound=3)
     gens = list(transform_ideal(I, m).generators)
     assert interreduce(buchberger(gens, target)) == interreduce(buchberger(gens))
+
+
+@st.composite
+def few_forms(draw):
+    """1 <= r <= n forms in n <= 4 variables over QQ, GF(2) or GF(32003),
+    of degree 1 to 3 with at most 4 terms and coefficients in [-5, 5];
+    sometimes the last is a multiple of the first, or the last two share a
+    linear factor."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]))
+    n = draw(st.integers(1, 4))
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)], field)
+
+    def form(degree):
+        monos = st.sampled_from(monomials_of_degree(n, degree))
+        terms = draw(st.lists(st.tuples(st.integers(-5, 5), monos), min_size=1, max_size=4))
+        return ring.from_terms(terms)
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, n)))]
+    shape = draw(st.sampled_from(["free", "multiple", "shared factor"]))
+    if shape == "multiple" and len(gens) > 1:
+        gens[-1] = gens[0] * form(1)
+    elif shape == "shared factor" and len(gens) > 1:
+        factor = form(1)
+        gens[-2:] = [g * factor for g in gens[-2:]]
+    I = Ideal(ring, gens)
+    assume(not I.is_zero())
+    return I
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(few_forms())
+def test_the_degree_bound_is_a_hilbert_target(I):
+    # Froeberg: HS(S/I) >= prod (1 - t^{d_i}) / (1-t)^n for r <= n forms,
+    # checked through reg(S/in(I)) + 2, where reg(S/in(I)) >= reg(S/I)
+    gens = list(I.generators)
+    bound = complete_intersection_numerator(g.degree() for g in gens)
+    basis = interreduce(buchberger(gens))
+    J = initial_ideal(basis, I.ring)
+    assume(not J.is_unit())
+    top = invariants_via_betti(J).reg_quotient + 2
+    for k in range(top + 1):
+        assert hilbert_function_from_numerator(bound, I.ring.n, k) <= hilbert_function(J, k)
+    assert interreduce(buchberger(gens, bound)) == basis
 
 
 @st.composite

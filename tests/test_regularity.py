@@ -415,6 +415,46 @@ class TestOracleOnIdeals:
         assert calls == []
 
 
+class TestDegreeBoundTarget:
+    """The first in(g I) of an Ideal has Buchberger's Hilbert target from
+    the generators' degrees when there are at most n of them: HS(S/I) is
+    at least prod (1 - t^{d_i}) / (1-t)^n.  More generators get none."""
+
+    @pytest.fixture
+    def targets(self, monkeypatch):
+        seen = []
+        original = cmreg.regularity.reduced_groebner_basis
+
+        def spied(ideal, target=None):
+            seen.append(target)
+            return original(ideal, target)
+
+        monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", spied)
+        return seen
+
+    @staticmethod
+    def quadrics(k):
+        R = PolynomialRing(["x", "y", "z"])
+        x, y, z = R.gens()
+        forms = [x * x + y * z, y * y - x * z, z * z + x * y, x * y + y * z]
+        return Ideal(R, forms[:k])
+
+    def test_more_generators_than_variables_get_no_target(self, targets):
+        # (1 - t^2)^4 has negative coefficients, and its series over
+        # (1-t)^3 is negative in degree 3
+        c_invariants(self.quadrics(4), 0)
+        assert targets == [None]
+
+    def test_the_c_route_and_the_first_gin_draw_get_the_bound(self, targets):
+        bound = [1, 0, -3, 0, 3, 0, -1]  # (1 - t^2)^3
+        c_invariants(self.quadrics(3), 0)
+        assert targets == [bound]
+        targets.clear()
+        generic_initial_ideal(self.quadrics(3), seed=3)
+        assert targets[0] == bound
+        assert all(isinstance(t, MonomialIdeal) for t in targets[1:])
+
+
 class TestRandomMatrices:
     def test_invertible(self, R3):
         rng = random.Random(31)
