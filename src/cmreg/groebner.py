@@ -20,27 +20,25 @@ the one field arithmetic gives, not a multiple of it.  Over GF(p) the
 kernel works on residues mod p, with each basis element made monic.
 
 Buchberger can be given a Hilbert target: a series that HS(S/I) is at
-least in every degree, with equality for an initial ideal.  The initial
-ideal of the same ideal in other coordinates is one: an invertible linear
-change g keeps the Hilbert series, HS(S/gI) = HS(S/I) = HS(S/in(I))
-(Traverso's Hilbert-driven Buchberger).  Before any basis is known, r <= n
-forms of degrees d_i have one in the degree bound prod (1 - t^{d_i}) / (1-t)^n,
-with equality exactly for a complete intersection: dim I_k is the rank of
-the map (f_1..f_r) from the sum of the S_{k-d_i} to S_k, which is at most
-its rank for forms with indeterminate coefficients, and the exact Koszul
-complex of x_1^{d_1}, ..., x_r^{d_r} pins that rank at dim S_k minus the
-bound's k-th coefficient (Froeberg).  The leads found so far span a
-monomial ideal L inside in(I), so dim L_d <= dim in(I)_d <= dim S_d minus
-the target's coefficient.  Before reducing a pair of lcm degree d, the loop
-compares the two ends; when they are equal the pair is skipped, because
-its S-polynomial lies in I in degree d and a nonzero remainder would have a
-lead in in(I)_d outside L_d.  Each nonzero remainder of degree d adds
-exactly one degree-d monomial to L_d, its lead, so the gap is counted down
-within a degree and L's Hilbert numerator is recomputed only when the
-degree changes and L has grown.  Once the numerators of L and of the
-target agree, L = in(I) and the basis is complete.  Only pairs whose
-normal form is zero are skipped, so the basis returned is the same with or
-without a target.
+least in every degree, with equality for an initial ideal.  in(I) in other
+coordinates is one, since an invertible linear change keeps the Hilbert
+series (Traverso's Hilbert-driven Buchberger).  So is the degree bound
+prod (1 - t^{d_i}) / (1-t)^n of r <= n forms of degrees d_i, attained
+exactly by a complete intersection (Froeberg): dim I_k is the rank of
+(f_1..f_r) from the sum of the S_{k-d_i} to S_k, at most its rank for
+forms with indeterminate coefficients, which the exact Koszul complex of
+x_1^{d_1}, ..., x_r^{d_r} pins at dim S_k minus the bound's k-th
+coefficient.  The leads found so far span a monomial ideal L inside in(I),
+so dim L_d <= dim in(I)_d <= dim S_d minus the target's coefficient.
+Before reducing a pair of lcm degree d, the loop compares the two ends;
+when they are equal the pair is skipped, because its S-polynomial lies in
+I in degree d and a nonzero remainder would have a lead in in(I)_d outside
+L_d.  Each nonzero remainder of degree d adds exactly one degree-d
+monomial to L_d, its lead, so the gap is counted down within a degree and
+L's Hilbert numerator is recomputed only when the degree changes and L has
+grown.  Once the numerators of L and of the target agree, L = in(I) and
+the basis is complete.  Only pairs whose normal form is zero are skipped,
+so the basis returned is the same with or without a target.
 """
 
 from heapq import heapify, heappop, heappush
@@ -209,17 +207,16 @@ def buchberger(generators, target=None):
     """Complete a list of nonzero polynomials to a Groebner basis.
 
     target, when given, is a Hilbert target for the ideal I the generators
-    span, with one meaning: HS(S/I) is at least this series, with equality
-    for an in(g I).  It is a Hilbert numerator (coefficient list), or a
-    MonomialIdeal in(g I) for an invertible linear change of coordinates g,
-    which stands for its numerator.  For r <= n forms of degrees d_i the
-    numerator prod (1 - t^{d_i}) is one: dim I_k is at most the rank of
-    the same map for forms with indeterminate coefficients, and the exact
-    Koszul complex of x_1^{d_1}, ..., x_r^{d_r} makes that rank dim S_k
-    minus the bound's k-th coefficient.  A target only lets pairs with a
-    zero normal form be skipped (see the module docstring), so the result
-    is the same either way.  A target whose series exceeds that of
-    S/(leads) in some degree is refused with an InputError.
+    span: HS(S/I) is at least this series, with equality for an in(g I).
+    It is a Hilbert numerator, or a MonomialIdeal in(g I) standing for its
+    numerator.  For r <= n forms of degrees d_i, prod (1 - t^{d_i}) is one:
+    dim I_k is at most the rank of the same map for forms with
+    indeterminate coefficients, which the exact Koszul complex of
+    x_1^{d_1}, ..., x_r^{d_r} makes dim S_k minus the bound's k-th
+    coefficient.  A target only skips pairs with a zero normal form (see
+    the module docstring), so the result is the same either way; one that
+    exceeds the series of S/(leads) in some degree is refused with an
+    InputError.
     """
     G = [g.monic() for g in generators if not g.is_zero()]
     if not G:

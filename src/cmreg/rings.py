@@ -286,14 +286,12 @@ def apply_linear_change(f, rows):
 
 
 def _power_of_form(row, e):
-    """(row . x)^e as {exponent tuple: integer}, by the multinomial theorem.
-
-    The coefficient of x^k is e! / (k_1! ... k_n!) times the product of the
-    row[j]^k_j.  It is built one variable of the row's support at a time, as
-    a product of binomials C(left, k_j) that the recurrence
-    C(left, k + 1) = C(left, k) (left - k) / (k + 1) steps through, so the
-    work is proportional to the number of terms, with no factorial per term.
-    """
+    """(row . x)^e as {exponent tuple: integer}, by the multinomial theorem:
+    the coefficient of x^k is the product over the row's support of
+    C(left, k_j) row[j]^k_j, where left is e minus the k_i of the variables
+    before j.  The recurrence C(left, k + 1) = C(left, k) (left - k) / (k + 1)
+    steps through the binomials, so the work is proportional to the number
+    of terms."""
     support = [j for j, a in enumerate(row) if a]
     pows = {j: [row[j] ** k for k in range(e + 1)] for j in support}
     last = support.pop()
