@@ -6,18 +6,26 @@ open pairs sit in a heap keyed that way, so each pair's lcm is computed
 once.  The coprime-lead and chain criteria prune useless pairs.  The final
 basis is inter-reduced and monic, hence unique for the ideal and order.
 
-Normal forms run on an exact integer kernel.  A monomial x^e is held as
-the tuple (-deg e, e_n, ..., e_1): multiplying monomials adds these tuples
-entry by entry, and the smallest tuple is the degrevlex-largest monomial.
-The terms still to reduce sit in a heap of such tuples, so each term's
-order key is built once; a term that cancels stays in the heap and is
-skipped when popped.  Over QQ the kernel is fraction-free: each basis
-element reduces through its primitive integer multiple, a reduction step
-multiplies what is left by lc / gcd(lc, c) instead of dividing by lc, and
-the product of these factors (the scale) is divided out of the remainder
-at the end through ``field(num, den)``.  The remainder is therefore exactly
-the one field arithmetic gives, not a multiple of it.  Over GF(p) the
-kernel works on residues mod p, with each basis element made monic.
+Buchberger and inter-reduction run on one exact integer kernel.  A
+monomial x^e is held as the tuple (-deg e, e_n, ..., e_1): multiplying
+monomials adds these tuples entry by entry, and the smallest tuple is the
+degrevlex-largest monomial.  A basis element lives only in the kernel's
+form (pattern, lead, lc, tail) from the moment it is found: over QQ the
+coefficients of its primitive integer multiple with positive lead, over
+GF(p) its residues made monic.  The S-polynomial of two elements is built
+from their integer tails, as lcm(lc_f, lc_g) times the field one.  The
+kernel reduces it: the terms still to reduce sit in a heap of monomial
+tuples, so each term's order key is built once, and a term that cancels
+stays in the heap and is skipped when popped.  Over QQ the kernel is
+fraction-free: a reduction step multiplies what is left by lc / gcd(lc, c)
+instead of dividing by lc, and each remainder term keeps the product of
+these factors (the scale) at which it left.  A nonzero remainder, each term
+lifted to the final scale, becomes the next basis element directly.
+Inter-reduction reduces each minimal element's tail by the other elements
+through the same kernel, and only then are field values made: one
+`field(num, den)` per term of each returned element.  `normal_form` and
+`s_polynomial` give library callers the same kernel on field values; a
+remainder is exactly the one field arithmetic gives, not a multiple of it.
 
 Buchberger can be given a Hilbert target: a series that HS(S/I) is at
 least in every degree, with equality for an initial ideal.  in(I) in other
@@ -43,19 +51,13 @@ so the basis returned is the same with or without a target.
 
 from heapq import heapify, heappop, heappush
 from math import gcd, inf
-from operator import add, le, sub
+from operator import add, itemgetter, le, neg, sub
 
 from .monomial_ideals import (
     InputError,
     MonomialIdeal,
     hilbert_function_from_numerator,
     hilbert_numerator,
-)
-from .orders import (
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
 )
 from .rings import Polynomial, RingMismatchError, _check_same_ring
 
@@ -99,16 +101,19 @@ def _exps(k):
     return k[:0:-1]
 
 
-def _reducer(g):
-    """g in the kernel's form, kept on g: (divisibility pattern, lead
-    monomial, lead coefficient, tail).
+def _element(lead, lc, tail):
+    """A basis element in the kernel's form: (divisibility pattern, lead
+    monomial, lead coefficient, tail).  The pattern is the lead monomial
+    with its degree slot at -inf, so that it is <= a monomial entry by entry
+    exactly when the lead divides it."""
+    return (-inf,) + lead[1:], lead, lc, tail
 
-    Over QQ the coefficients are those of g's primitive integer multiple
-    with positive lead; over GF(p) they are the residues of g / lc(g), so
-    the lead coefficient is 1.  The pattern is the lead monomial with its
-    degree slot at -inf, so that it is <= a monomial entry by entry exactly
-    when the lead divides it.
-    """
+
+def _reducer(g):
+    """The nonzero polynomial g in the kernel's form, kept on g.  Over QQ
+    the coefficients are those of g's primitive integer multiple with
+    positive lead; over GF(p) they are the residues of g / lc(g), so the
+    lead coefficient is 1."""
     if g._reducer is None:
         lm = g.leading_monomial()
         if g.ring.field.characteristic:
@@ -119,31 +124,24 @@ def _reducer(g):
             if ints[lm] < 0:
                 content = -content
             ints = {e: v // content for e, v in ints.items()}
-        lead = _key(lm)
         tail = tuple((_key(e), v) for e, v in ints.items() if e != lm)
-        g._reducer = ((-inf,) + lead[1:], lead, ints[lm], tail)
+        g._reducer = _element(_key(lm), ints[lm], tail)
     return g._reducer
 
 
-def normal_form(f, basis):
-    """Fully reduce f against basis (nonzero polynomials, tried in order).
+def _reduce(work, basis, p):
+    """The kernel: fully reduce work, a {monomial: integer} dict in the
+    kernel's form (consumed), by basis elements in the kernel's form, tried
+    in order.  The order-largest reducible term is rewritten first, by the
+    first element whose lead divides it.
 
-    Returns r with f - r in (basis) and no term of r divisible by any
-    basis leading monomial.  Deterministic: the order-largest reducible
-    term is rewritten first, by the first basis element whose lead
-    divides it.  The result is the one exact field arithmetic gives;
-    the reduction itself runs on integers (see the module docstring).
+    Returns (remainder, scale).  remainder lists the terms (monomial, c, s),
+    order-largest first, of the normal form sum c/s x^k of work; each s
+    divides scale, so the terms c * (scale // s) are scale times it.  Over
+    GF(p) every element is monic and scale is 1.
     """
-    ring = f.ring
-    field = ring.field
-    p = field.characteristic
-    for g in basis:
-        _check_same_ring(f, g)
-    reducers = [_reducer(g) for g in basis]
-    den, ints = field.integers(f.coeffs)
-    work = {_key(e): v for e, v in ints.items()}
-    # work / (den * scale) is the polynomial still to reduce, and each
-    # remainder term keeps the scale at which it left work
+    # work / scale is the polynomial still to reduce, and each remainder
+    # term keeps the scale at which it left work
     heap = list(work)
     heapify(heap)
     scale = 1
@@ -153,7 +151,7 @@ def normal_form(f, basis):
         c = work.pop(k, 0)
         if not c:
             continue  # cancelled, or a second heap entry of a done term
-        for pattern, lead, lc, tail in reducers:
+        for pattern, lead, lc, tail in basis:
             if all(map(le, pattern, k)):
                 h = gcd(lc, c)
                 if h != lc:
@@ -180,74 +178,128 @@ def normal_form(f, basis):
                 break
         else:
             remainder.append((k, c, scale))
-    return Polynomial(
-        ring, {_exps(k): field(c, den * s) for k, c, s in remainder}
+    return remainder, scale
+
+
+def _s_work(f, g, p):
+    """The S-polynomial of two basis elements in the kernel's form, as a
+    work dict: lcm(lc_f, lc_g) times the S-polynomial of f/lc_f and
+    g/lc_g, built from the integer tails (the leads cancel)."""
+    _, lead_f, lc_f, tail_f = f
+    _, lead_g, lc_g, tail_g = g
+    m = tuple(map(max, lead_f[1:], lead_g[1:]))
+    lcm_fg = (-sum(m),) + m
+    h = gcd(lc_f, lc_g)
+    mf, mg = lc_g // h, lc_f // h
+    qf = tuple(map(sub, lcm_fg, lead_f))
+    qg = tuple(map(sub, lcm_fg, lead_g))
+    work = {tuple(map(add, qf, k)): mf * c for k, c in tail_f}
+    for k, c in tail_g:
+        t = tuple(map(add, qg, k))
+        v = work.get(t, 0) - mg * c
+        if p:
+            v %= p
+        if v:
+            work[t] = v
+        else:
+            work.pop(t, None)
+    return work
+
+
+def _from_remainder(remainder, scale, p):
+    """The basis element of a nonzero remainder of `_reduce`: its terms
+    lifted to the final scale, made primitive with positive lead over QQ,
+    monic over GF(p)."""
+    lead = remainder[0][0]
+    if p:
+        inv = pow(remainder[0][1], -1, p)
+        return _element(lead, 1, tuple((k, c * inv % p) for k, c, _ in remainder[1:]))
+    ints = [c * (scale // s) for _, c, s in remainder]
+    content = gcd(*ints)
+    if ints[0] < 0:
+        content = -content
+    tail = tuple((term[0], v // content) for term, v in zip(remainder[1:], ints[1:]))
+    return _element(lead, ints[0] // content, tail)
+
+
+def _monic(ring, lead, terms):
+    """The monic polynomial with leading monomial lead and other terms
+    (monomial, num, den) of value num / den: one field value per term."""
+    field = ring.field
+    coeffs = {_exps(lead): field(1)}
+    for k, num, den in terms:
+        coeffs[_exps(k)] = field(num, den)
+    return Polynomial(ring, coeffs)
+
+
+def normal_form(f, basis):
+    """Fully reduce f against basis (nonzero polynomials, tried in order).
+
+    Returns r with f - r in (basis) and no term of r divisible by any
+    basis leading monomial.  Deterministic: the order-largest reducible
+    term is rewritten first, by the first basis element whose lead
+    divides it.  The result is the one exact field arithmetic gives;
+    the reduction itself runs on integers (see the module docstring).
+    """
+    ring = f.ring
+    field = ring.field
+    for g in basis:
+        _check_same_ring(f, g)
+    den, ints = field.integers(f.coeffs)
+    remainder, _ = _reduce(
+        {_key(e): v for e, v in ints.items()},
+        [_reducer(g) for g in basis],
+        field.characteristic,
     )
+    return Polynomial(ring, {_exps(k): field(c, den * s) for k, c, s in remainder})
 
 
 def s_polynomial(f, g):
     """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g; leading terms cancel."""
     if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of the zero polynomial")
+        raise InputError("S-polynomial of the zero polynomial")
     _check_same_ring(f, g)
-    f, g = f.monic(), g.monic()
-    mf, mg = f.leading_monomial(), g.leading_monomial()
-    lcm_fg = mono_lcm(mf, mg)
-    qf = mono_div(lcm_fg, mf)
-    qg = mono_div(lcm_fg, mg)
-    coeffs = {tuple(map(add, e, qf)): c for e, c in f.coeffs.items() if e != mf}
-    for e, c in g.coeffs.items():
-        if e != mg:
-            t = tuple(map(add, e, qg))
-            coeffs[t] = coeffs.get(t, 0) - c
-    return f.ring.from_coeffs(coeffs)
+    field = f.ring.field
+    a, b = _reducer(f), _reducer(g)
+    den = a[2] * b[2] // gcd(a[2], b[2])
+    return Polynomial(
+        f.ring,
+        {_exps(k): field(c, den) for k, c in _s_work(a, b, field.characteristic).items()},
+    )
 
 
-def buchberger(generators, target=None):
-    """Complete a list of nonzero polynomials to a Groebner basis.
-
-    target, when given, is a Hilbert target for the ideal I the generators
-    span: HS(S/I) is at least this series, with equality for an in(g I).
-    It is a Hilbert numerator, or a MonomialIdeal in(g I) standing for its
-    numerator.  For r <= n forms of degrees d_i, prod (1 - t^{d_i}) is one:
-    dim I_k is at most the rank of the same map for forms with
-    indeterminate coefficients, which the exact Koszul complex of
-    x_1^{d_1}, ..., x_r^{d_r} makes dim S_k minus the bound's k-th
-    coefficient.  A target only skips pairs with a zero normal form (see
-    the module docstring), so the result is the same either way; one that
-    exceeds the series of S/(leads) in some degree is refused with an
-    InputError.
-    """
-    G = [g.monic() for g in generators if not g.is_zero()]
-    if not G:
-        return []
-    ring = G[0].ring
-    key = ring.key
-    leads = [g.leading_monomial() for g in G]
-    # open pairs (i, j), i < j, popped by (key of their lcm, i, j)
+def _buchberger(ring, G, target):
+    """Complete the basis elements G (kernel form, nonzero, a list that
+    grows in place) to a Groebner basis; see buchberger."""
+    p = ring.field.characteristic
+    # open pairs (i, j), i < j, popped by (degrevlex key of their lcm, i, j):
+    # the negated kernel form of a monomial orders as its degrevlex key
     pairs = set()
     heap = []
 
     def add_pairs(j):
+        lead_j = G[j][1][1:]
         for i in range(j):
-            lcm_ij = mono_lcm(leads[i], leads[j])
-            heappush(heap, (key(lcm_ij), i, j, lcm_ij))
+            m = tuple(map(max, G[i][1][1:], lead_j))
+            lcm_ij = (-sum(m),) + m
+            heappush(heap, (tuple(map(neg, lcm_ij)), i, j, lcm_ij))
             pairs.add((i, j))
 
     for j in range(1, len(G)):
         add_pairs(j)
     goal = hilbert_numerator(target) if isinstance(target, MonomialIdeal) else target
-    counted = 0  # len(leads) when the numerator of <leads> was taken
+    counted = 0  # len(G) when the numerator of the leads was taken
     degree = None  # the lcm degree of the pairs being reduced
     gap = 0  # dim S_degree - [target]_degree - dim <leads>_degree
     while heap:
         _, i, j, lcm_ij = heappop(heap)
         pairs.discard((i, j))
         if goal is not None:
-            d = sum(lcm_ij)
+            d = -lcm_ij[0]
             if d != degree:
-                if len(leads) > counted:
-                    counted = len(leads)
+                if len(G) > counted:
+                    counted = len(G)
+                    leads = [_exps(g[1]) for g in G]
                     have = hilbert_numerator(MonomialIdeal.from_generators(ring, leads))
                     if have == goal:
                         break
@@ -262,47 +314,72 @@ def buchberger(generators, target=None):
                     )
             if not gap:
                 continue
-        if mono_coprime(leads[i], leads[j]):
-            continue
+        if not any(map(min, G[i][1][1:], G[j][1][1:])):
+            continue  # coprime leads
         # chain criterion: some k with lead_k | lcm and both side pairs done
         if any(
             k != i
             and k != j
-            and mono_divides(leads[k], lcm_ij)
+            and all(map(le, G[k][0], lcm_ij))
             and (min(i, k), max(i, k)) not in pairs
             and (min(j, k), max(j, k)) not in pairs
             for k in range(len(G))
         ):
             continue
-        s = normal_form(s_polynomial(G[i], G[j]), G)
-        if not s.is_zero():
-            s = s.monic()
-            G.append(s)
-            leads.append(s.leading_monomial())
+        remainder, scale = _reduce(_s_work(G[i], G[j], p), G, p)
+        if remainder:
+            G.append(_from_remainder(remainder, scale, p))
             add_pairs(len(G) - 1)
             gap -= 1
     return G
+
+
+def buchberger(generators, target=None):
+    """Complete a list of nonzero polynomials to a Groebner basis, made
+    monic.
+
+    target, when given, is a Hilbert target for the ideal I the generators
+    span: HS(S/I) is at least this series, with equality for an in(g I).
+    It is a Hilbert numerator, or a MonomialIdeal in(g I) standing for its
+    numerator.  For r <= n forms of degrees d_i, prod (1 - t^{d_i}) is one:
+    dim I_k is at most the rank of the same map for forms with
+    indeterminate coefficients, which the exact Koszul complex of
+    x_1^{d_1}, ..., x_r^{d_r} makes dim S_k minus the bound's k-th
+    coefficient.  A target only skips pairs with a zero normal form (see
+    the module docstring), so the result is the same either way; one that
+    exceeds the series of S/(leads) in some degree is refused with an
+    InputError.
+    """
+    generators = [g for g in generators if not g.is_zero()]
+    if not generators:
+        return []
+    ring = generators[0].ring
+    G = _buchberger(ring, [_reducer(g) for g in generators], target)
+    return [_monic(ring, lead, ((k, c, lc) for k, c in tail)) for _, lead, lc, tail in G]
+
+
+def _interreduce(ring, G):
+    """The reduced monic basis of a Groebner basis in the kernel's form."""
+    p = ring.field.characteristic
+    # drop elements whose lead is divisible by another surviving lead; the
+    # kernel form of a monomial is largest where its degrevlex key is least
+    kept = []
+    for g in sorted(G, key=itemgetter(1), reverse=True):
+        if not any(all(map(le, h[0], g[1])) for h in kept):
+            kept.append(g)
+    reduced = []
+    for idx, (_, lead, lc, tail) in enumerate(kept):
+        # no other lead divides this one, so only the tail reduces
+        remainder, _ = _reduce(dict(tail), kept[:idx] + kept[idx + 1 :], p)
+        reduced.append(_monic(ring, lead, ((k, c, s * lc) for k, c, s in remainder)))
+    return reduced
 
 
 def interreduce(G):
     """Reduce a Groebner basis to the unique reduced monic form."""
     if not G:
         return []
-    key = G[0].ring.key
-    # drop elements whose lead is divisible by another surviving lead
-    G = sorted(G, key=lambda g: key(g.leading_monomial()))
-    kept = []
-    for g in G:
-        lm = g.leading_monomial()
-        if not any(mono_divides(h.leading_monomial(), lm) for h in kept):
-            kept.append(g)
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        r = normal_form(g, others).monic()
-        reduced.append(r)
-    reduced.sort(key=lambda g: key(g.leading_monomial()))
-    return reduced
+    return _interreduce(G[0].ring, [_reducer(g) for g in G])
 
 
 def reduced_groebner_basis(ideal, target=None):
@@ -312,14 +389,17 @@ def reduced_groebner_basis(ideal, target=None):
     least (see buchberger)."""
     if not isinstance(ideal, Ideal):
         raise TypeError("expected an Ideal")
-    return interreduce(buchberger(list(ideal.generators), target))
+    G = [_reducer(g) for g in ideal.generators]
+    if not G:
+        return []
+    return _interreduce(ideal.ring, _buchberger(ideal.ring, G, target))
 
 
 def initial_ideal(gb, ring=None):
     """The monomial ideal of leading monomials of a reduced basis."""
     if not gb:
         if ring is None:
-            raise ValueError("need a ring for the zero ideal")
+            raise InputError("need a ring for the zero ideal")
         return MonomialIdeal.from_generators(ring, [])
     ring = gb[0].ring
     return MonomialIdeal.from_generators(ring, [g.leading_monomial() for g in gb])

@@ -72,14 +72,16 @@ def minimalize(gens):
 class MonomialIdeal:
     """A monomial ideal by its minimal generators, canonically sorted."""
 
-    # _initials maps a change of coordinates to in(g J), filled by regularity
-    __slots__ = ("ring", "gens", "_initials")
+    # _initials maps a change of coordinates to in(g J), filled by regularity;
+    # _hilbert keeps hilbert_numerator(J), which the routes read several times
+    __slots__ = ("ring", "gens", "_initials", "_hilbert")
 
     def __init__(self, ring, gens):
         # gens assumed already minimal; use from_generators otherwise
         self.ring = ring
         self.gens = tuple(sorted(gens, key=ring.key, reverse=True))
         self._initials = {}
+        self._hilbert = None
 
     @classmethod
     def from_generators(cls, ring, gens):
@@ -183,19 +185,22 @@ def hilbert_numerator(J):
     of a most-frequent variable (Bigatti's pivot), with memoization on the
     minimal generator sets.  Taking k as the least positive exponent of x_i
     in a mixed generator keeps the depth independent of the exponents.
+    The result is kept on J, so it is computed once per ideal.
     """
-    memo = {}
+    if J._hilbert is None:
+        memo = {}
 
-    def recurse(gens):
-        key = frozenset(gens)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = _numerator(gens, recurse)
-        memo[key] = result
-        return result
+        def recurse(gens):
+            key = frozenset(gens)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            result = _numerator(gens, recurse)
+            memo[key] = result
+            return result
 
-    return recurse(tuple(J.gens))
+        J._hilbert = tuple(recurse(J.gens))
+    return list(J._hilbert)
 
 
 def complete_intersection_numerator(degrees):
@@ -244,10 +249,10 @@ def quotient_top_degree(J_sub, J_sup):
     pieces, and the exact top degree otherwise.
     """
     if J_sub.ring != J_sup.ring:
-        raise ValueError("ideals from different rings")
+        raise InputError("ideals from different rings")
     for g in J_sub.gens:
         if not J_sup.contains(g):
-            raise ValueError("containment J_sub <= J_sup violated")
+            raise InputError("containment J_sub <= J_sup violated")
     diff = _psub(hilbert_numerator(J_sub), hilbert_numerator(J_sup))
     if not diff:
         return NEG_INF

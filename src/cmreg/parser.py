@@ -14,7 +14,7 @@ Every polynomial must be homogeneous.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import QQ, PrimeField
 from .groebner import Ideal
@@ -30,8 +30,7 @@ class ParseError(InputError):
         super().__init__("%s: %s" % (where, message))
 
 
-@dataclass
-class InputDocument:
+class InputDocument(NamedTuple):
     ring: PolynomialRing
     generators: list
 

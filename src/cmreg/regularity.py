@@ -21,8 +21,7 @@ The third route reads them off the graded Betti table of S/in(I).
 """
 
 import random
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .betti import BettiTable, betti_table, invariants_from_betti
 from .groebner import Ideal, initial_ideal, reduced_groebner_basis
@@ -74,16 +73,14 @@ class GinAgreementError(MathematicalFailure):
         )
 
 
-@dataclass
-class GinResult:
+class GinResult(NamedTuple):
     gin: MonomialIdeal
     draws_agreed: int
     borel_certified: bool
     draws_total: int
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """The invariants at cutoff t.  The c and Gin routes put reg_t and a*_t
     in reg_quotient and astar_quotient; the oracle (c is None) puts the full
     reg and a* there and reg_t, a*_t in reg_t_quotient, astar_t_quotient."""
@@ -307,7 +304,7 @@ def invariants_via_gin(I, t=None, seed=0, bound=DENSE_ENTRY_BOUND):
         report = full_invariants(result.gin, use_generic=False, t=result.gin.n if t is None else t)
     except FilterRegularityFailure as exc:
         raise MathematicalFailure("the accepted Gin draw has no finite c list: %s" % exc) from exc
-    return replace(report, method="gin", initial_ideal=None, gin=result)
+    return report._replace(method="gin", initial_ideal=None, gin=result)
 
 
 def invariants_via_betti(I, t=None):

@@ -117,7 +117,7 @@ class Polynomial:
 
     # _terms, _lead and _reducer are computed on first use and kept, which
     # is safe because a Polynomial never changes; _reducer holds the
-    # integer form that groebner's normal-form kernel reduces with
+    # integer form in which groebner's kernel reduces by it
     __slots__ = ("ring", "coeffs", "_terms", "_lead", "_reducer")
 
     def __init__(self, ring, coeffs):

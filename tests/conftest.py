@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cmreg.groebner
 from cmreg import NEG_INF, GinResult, Ideal, MonomialIdeal, PolynomialRing, m_index
 from cmreg.monomial_ideals import minimalize
 
@@ -190,3 +191,19 @@ def all_subsets(items):
 
 def seeded_rng(seed):
     return random.Random(seed)
+
+
+def spy_on_the_kernel(monkeypatch):
+    """Record, for each reduction the kernel runs, whether its remainder is
+    zero: one per S-pair that Buchberger reduces, one per element that
+    inter-reduction reduces."""
+    results = []
+    original = cmreg.groebner._reduce
+
+    def counted(work, basis, p):
+        remainder, scale = original(work, basis, p)
+        results.append(not remainder)
+        return remainder, scale
+
+    monkeypatch.setattr(cmreg.groebner, "_reduce", counted)
+    return results

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmreg.groebner
 from cmreg import (
     QQ,
     Ideal,
@@ -35,7 +34,7 @@ from cmreg.monomial_ideals import complete_intersection_numerator
 from cmreg.orders import mono_coprime, mono_div, mono_divides, mono_lcm
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
-from conftest import monomials_of_degree, quartic_curve_ideal
+from conftest import monomials_of_degree, quartic_curve_ideal, spy_on_the_kernel
 
 KERNEL_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -230,15 +229,7 @@ def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, with_bound, calls
     # not one, and the bound skips none of its pairs
     degrees = [g.degree() for g in ideal.generators]
     target = complete_intersection_numerator(degrees) if with_bound else None
-    results = []
-    original = cmreg.groebner.normal_form
-
-    def counted(f, basis):
-        r = original(f, basis)
-        results.append(r.is_zero())
-        return r
-
-    monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
+    results = spy_on_the_kernel(monkeypatch)
     buchberger(list(ideal.generators), target)
     assert (len(results), sum(results)) == (calls, zeros)
 
@@ -253,14 +244,6 @@ def test_buchberger_pair_counts_of_a_retry_are_pinned(monkeypatch, with_target, 
     ideal = dense_quadrics()
     rows = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 2]]
     target = initial_ideal(reduced_groebner_basis(ideal), ideal.ring) if with_target else None
-    results = []
-    original = cmreg.groebner.normal_form
-
-    def counted(f, basis):
-        r = original(f, basis)
-        results.append(r.is_zero())
-        return r
-
-    monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
+    results = spy_on_the_kernel(monkeypatch)
     buchberger(list(transform_ideal(ideal, rows).generators), target)
     assert (len(results), sum(results)) == (calls, zeros)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,8 +20,11 @@ from cmreg import (
     apply_linear_change,
     betti_table,
     lcm_multidegrees,
+    initial_ideal,
     parse_input,
+    quotient_top_degree,
     reduced_groebner_basis,
+    s_polynomial,
 )
 from cmreg.betti import upper_koszul_complex
 from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
@@ -595,6 +601,15 @@ X, Y = R2.gens()
         lambda: R2.drop_last(2),
         # (x, y) leaves no quadric, (x^2) leaves two: (x^2) is no in(g I)
         lambda: buchberger([X, Y], MonomialIdeal.from_generators(R2, [(2, 0)])),
+        lambda: quotient_top_degree(
+            MonomialIdeal.from_generators(R2, [(1, 0)]),
+            MonomialIdeal.from_generators(PolynomialRing(["x", "y", "z"]), [(1, 0, 0)]),
+        ),
+        lambda: quotient_top_degree(
+            MonomialIdeal.from_generators(R2, [(1, 0)]), MonomialIdeal.from_generators(R2, [(0, 1)])
+        ),
+        lambda: s_polynomial(X, R2.zero()),
+        lambda: initial_ideal([]),
     ],
     ids=[
         "composite-p",
@@ -613,6 +628,10 @@ X, Y = R2.gens()
         "set-vars-zero-range",
         "drop-last-range",
         "foreign-hilbert-target",
+        "quotient-of-different-rings",
+        "quotient-not-contained",
+        "s-polynomial-of-zero",
+        "initial-ideal-without-ring",
     ],
 )
 def test_library_refusals_are_input_errors(call):
@@ -657,3 +676,17 @@ def test_exponent_and_ring_refusals_are_input_errors(call):
 def test_wrong_argument_types_are_type_errors(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every run of the command starts with this import; dataclasses would
+    # bring inspect, ast, dis and tokenize, about 1 MB and 10 ms more
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmreg.fields.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, %r); import cmreg.cli; "
+        "print(cmreg.cli.__file__); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    ) % src
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    where, loaded = out.stdout.splitlines()
+    assert where.startswith(src + os.sep)
+    assert loaded == "[]"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-import cmreg.groebner
+import cmreg.monomial_ideals
 import cmreg.regularity
 from cmreg import (
     NEG_INF,
@@ -22,6 +22,7 @@ from cmreg import (
     c_invariants,
     full_invariants,
     generic_initial_ideal,
+    hilbert_numerator,
     invariants_from_betti,
     invariants_via_betti,
     invariants_via_gin,
@@ -35,7 +36,12 @@ from cmreg.regularity import (
 )
 from cmreg.rings import apply_linear_change
 
-from conftest import non_borel_draw, random_homogeneous_ideal, random_monomial_ideal
+from conftest import (
+    non_borel_draw,
+    random_homogeneous_ideal,
+    random_monomial_ideal,
+    spy_on_the_kernel,
+)
 
 
 def frf_witness(R2):
@@ -170,14 +176,7 @@ class TestFullInvariants:
     def test_high_exponent_retry_is_unitriangular(self, monkeypatch):
         # (x^20 y^20, y^20 z^20, x^20 z^20): every c_i is +inf in the given
         # coordinates, and one small-entry retry answers reg 3d - 2
-        calls = []
-        original = cmreg.groebner.normal_form
-
-        def counted(f, basis):
-            calls.append(f)
-            return original(f, basis)
-
-        monkeypatch.setattr(cmreg.groebner, "normal_form", counted)
+        calls = spy_on_the_kernel(monkeypatch)
         R = PolynomialRing(["x", "y", "z"])
         d = 20
         I = MonomialIdeal.from_generators(R, [(d, d, 0), (0, d, d), (d, 0, d)])
@@ -185,6 +184,29 @@ class TestFullInvariants:
         assert rep.generic_retries == 1
         assert (rep.reg_quotient, rep.astar_quotient) == (58, 57)
         assert len(calls) == 42
+
+    def test_numerator_of_in_i_is_computed_once(self, monkeypatch):
+        # krull_dimension, c_0 and the retry's Hilbert target all read the
+        # numerator of J0 = in(I), here the d = 20 d-family itself; it is
+        # kept on J0, not on its generators, so an equal ideal computes its own
+        computed = []
+        original = cmreg.monomial_ideals._numerator
+
+        def spied(gens, recurse):
+            computed.append(gens)
+            return original(gens, recurse)
+
+        monkeypatch.setattr(cmreg.monomial_ideals, "_numerator", spied)
+        R = PolynomialRing(["x", "y", "z"])
+        gens = [(20, 20, 0), (0, 20, 20), (20, 0, 20)]
+        J0 = MonomialIdeal.from_generators(R, gens)
+        assert full_invariants(J0).generic_retries == 1
+        assert computed.count(J0.gens) == 1
+        computed.clear()
+        first, second = (MonomialIdeal.from_generators(R, gens) for _ in range(2))
+        assert hilbert_numerator(first) == hilbert_numerator(second) == hilbert_numerator(J0)
+        assert hilbert_numerator(first) == hilbert_numerator(second)  # kept: no third
+        assert computed.count(J0.gens) == 2
 
     def test_retries_are_unitriangular_then_dense(self, monkeypatch):
         # over GF(2) no change of coordinates the route draws at seed 0 is
