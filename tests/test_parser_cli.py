@@ -19,8 +19,8 @@ from cmreg import (
     RegularityReport,
     apply_linear_change,
     betti_table,
-    lcm_multidegrees,
     initial_ideal,
+    lcm_multidegrees,
     parse_input,
     quotient_top_degree,
     reduced_groebner_basis,
@@ -680,7 +680,7 @@ def test_wrong_argument_types_are_type_errors(call):
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every run of the command starts with this import; dataclasses would
-    # bring inspect, ast, dis and tokenize, about 1 MB and 10 ms more
+    # bring inspect, ast, dis and tokenize into every start
     src = os.path.dirname(os.path.dirname(os.path.abspath(cmreg.fields.__file__)))
     code = (
         "import sys; sys.path.insert(0, %r); import cmreg.cli; "
