@@ -21,6 +21,7 @@ false, and the run exits 1 with the failure on stderr.
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .fields import _mpq
@@ -141,6 +142,7 @@ def _print_human(doc, out):
         show("note", note)
 
 
+@cache  # built on the first run, not at import, and once per process
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cmreg",

@@ -1,20 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-A value of QQ is a gmpy2.mpq when gmpy2 is installed (much faster than
-fractions.Fraction, the fallback); a value of GF(p) is a plain int in
+A value of QQ is a fractions.Fraction; a value of GF(p) is a plain int in
 [0, p), and polynomial arithmetic reduces mod p when the characteristic is
 nonzero.  `field(num, den)` is the way in for both fields, and every
 division goes through it; `field.integers` gives values in integer form.
 """
 
+from fractions import Fraction as _mpq  # the name --version and perfbench's stamp read
 from math import lcm
 
 from .monomial_ideals import InputError
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _mpq
 
 
 class FieldError(InputError):
@@ -35,8 +30,8 @@ class RationalField:
     def integers(self, coeffs):
         """(den, {e: c * den}) for a dict of values: the numerators over
         their least common denominator."""
-        den = lcm(*(int(c.denominator) for c in coeffs.values()))
-        return den, {e: int(c.numerator) * (den // int(c.denominator)) for e, c in coeffs.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

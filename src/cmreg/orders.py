@@ -16,19 +16,8 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """The quotient exponent vector a - b; requires x^b | x^a."""
-    if not mono_divides(b, a):
-        raise ValueError("monomial %r does not divide %r" % (b, a))
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def m_index(a):

@@ -8,9 +8,11 @@ Format (whitespace-insensitive, '#' comments to end of line):
     x1*x2 - x3*x4
     x1*x3^2 - x2^3
 
-One polynomial per line; a term is an optional integer or rational
-coefficient followed by variable factors, '*' between factors optional.
-Every polynomial must be homogeneous.
+One polynomial per line, terms joined by '+' or '-' (the first may carry a
+sign).  A term is an optional coefficient, an integer or (over QQ only)
+num/den, followed by any number of factors name or name^e; '*' between them
+is optional, and a term may be a constant.  Every polynomial must be
+homogeneous.  An error on a polynomial line names its line and column.
 """
 
 import re
@@ -38,113 +40,67 @@ class InputDocument(NamedTuple):
         return Ideal(self.ring, self.generators)
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*/+\-])"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# a term: a sign (optional on the first term only), then an optional num or
+# num/den, then any run of '*' and name or name^e; a den or e left out
+# matches as the empty string, so that its absence can be reported
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:\s*(?P<slash>/)\s*(?P<den>\d*))?)?"
+    r"(?P<factors>(?:\s*(?:\*|%s(?:\s*\^\s*\d*)?))*)\s*" % _NAME
 )
+_FACTOR_RE = re.compile(r"(?P<name>%s)(?:\s*\^\s*(?P<exp>\d*))?" % _NAME)
 
 
-def _tokenize(text, lineno):
-    tokens = []
+def _unexpected(line, pos):
+    return "unexpected %s" % (repr(line[pos]) if pos < len(line) else "end of line")
+
+
+def _parse_polynomial(line, lineno, ring, var_index):
+    """The homogeneous polynomial written on one line."""
+    coeffs, cols = {}, {}
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], lineno, pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
+    while pos < len(line):
+        m = _TERM_RE.match(line, pos)
+        if pos and not m["sign"]:
+            raise ParseError(_unexpected(line, pos), lineno, pos + 1)
+        den = 1
+        if m["slash"]:
+            if ring.field.characteristic:
+                raise ParseError("rational coefficients need field QQ", lineno, m.start("slash") + 1)
+            if not m["den"]:
+                raise ParseError("expected a denominator", lineno, m.start("den") + 1)
+            den = int(m["den"])
+            if den == 0:
+                raise ParseError("zero denominator", lineno, m.start("den") + 1)
+        factors = list(_FACTOR_RE.finditer(m["factors"]))
+        if m["num"] is None and not factors:
+            raise ParseError(_unexpected(line, m.end()), lineno, m.end() + 1)
+        exps = [0] * ring.n
+        for f in factors:
+            col = m.start("factors") + f.start() + 1
+            if f["name"] not in var_index:
+                raise ParseError("undeclared variable %r" % f["name"], lineno, col)
+            if f["exp"] == "":
+                raise ParseError("expected an exponent", lineno, col + len(f[0]))
+            exps[var_index[f["name"]]] += int(f["exp"] or 1)
+        num = int(m["num"] or 1)
+        e = tuple(exps)
+        coeffs[e] = coeffs.get(e, 0) + ring.field(-num if m["sign"] == "-" else num, den)
+        cols.setdefault(e, m.start("sign") + 1)
         pos = m.end()
-    return tokens
-
-
-class _PolyParser:
-    def __init__(self, ring, var_index, tokens, lineno):
-        self.ring = ring
-        self.var_index = var_index
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of polynomial", self.lineno)
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        tok = self.peek()
-        col = tok[2] if tok else None
-        raise ParseError(message, self.lineno, col)
-
-    def parse(self):
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            sign = -1 if tok[1] == "-" else 1
-        terms.append(self.term(sign))
-        while self.peek() is not None:
-            kind, text, _ = self.next()
-            if kind != "op" or text not in "+-":
-                self.fail("expected '+' or '-' between terms")
-            terms.append(self.term(-1 if text == "-" else 1))
-        return self.ring.from_terms(terms)
-
-    def term(self, sign):
-        num, den = 1, 1
-        exps = [0] * self.ring.n
-        saw_factor = False
-        tok = self.peek()
-        if tok and tok[0] == "int":
-            self.next()
-            num = int(tok[1])
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                if self.ring.field.characteristic != 0:
-                    self.fail("rational coefficients need field QQ")
-                self.next()
-                dtok = self.next()
-                if dtok[0] != "int":
-                    raise ParseError("expected denominator", self.lineno, dtok[2])
-                den = int(dtok[1])
-                if den == 0:
-                    raise ParseError("zero denominator", self.lineno, dtok[2])
-            saw_factor = True
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                self.next()
-        while True:
-            tok = self.peek()
-            if tok is None or (tok[0] == "op" and tok[1] in "+-"):
-                break
-            if tok[0] == "op" and tok[1] == "*":
-                self.next()
-                continue
-            if tok[0] != "name":
-                self.fail("expected a variable")
-            self.next()
-            if tok[1] not in self.var_index:
-                raise ParseError("undeclared variable %r" % tok[1], self.lineno, tok[2])
-            idx = self.var_index[tok[1]]
-            power = 1
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "^":
-                self.next()
-                etok = self.next()
-                if etok[0] != "int":
-                    raise ParseError("expected exponent", self.lineno, etok[2])
-                power = int(etok[1])
-            exps[idx] += power
-            saw_factor = True
-        if not saw_factor:
-            self.fail("empty term")
-        coeff = self.ring.field(sign * num, den)
-        return coeff, tuple(exps)
+    poly = ring.from_coeffs(coeffs)
+    degrees = [sum(e) for e in poly.coeffs]
+    if len(set(degrees)) > 1:
+        # the witness: the first term whose degree differs from the first term's
+        col = next(cols[e] for e, d in zip(poly.coeffs, degrees) if d != degrees[0])
+        raise ParseError(
+            "polynomial is not homogeneous (terms of degrees %d and %d)"
+            % (min(degrees), max(degrees)),
+            lineno,
+            col,
+        )
+    return poly
 
 
 def _strip_comment(line):
@@ -185,11 +141,12 @@ def parse_input(text):
     if spec == "QQ":
         field = QQ
     else:
-        m = re.fullmatch(r"GF\s*\(?\s*(\d+)\s*\)?", spec)
+        # GF(p) or GFp: a parenthesis only with its partner
+        m = re.fullmatch(r"GF\s*(\()?\s*(\d+)\s*(?(1)\))", spec)
         if not m:
             raise ParseError("unknown field %r (use QQ or GF(p))" % spec, lineno)
         try:
-            field = PrimeField(int(m.group(1)))
+            field = PrimeField(int(m.group(2)))
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
 
@@ -203,17 +160,10 @@ def parse_input(text):
     ring = PolynomialRing(names, field)
     var_index = {name: i for i, name in enumerate(names)}
     generators = []
-    for lineno, line in it:
-        tokens = _tokenize(line, lineno)
-        poly = _PolyParser(ring, var_index, tokens, lineno).parse()
-        homog, _ = poly.is_homogeneous()
-        if not homog:
-            degs = sorted({sum(e) for e in poly.coeffs})
-            raise ParseError(
-                "polynomial is not homogeneous (terms of degrees %d and %d)"
-                % (degs[0], degs[-1]),
-                lineno,
-            )
+    for lineno, _ in it:
+        # a column counts from the first character of the line as written
+        line = _strip_comment(lines[lineno - 1]).rstrip()
+        poly = _parse_polynomial(line, lineno, ring, var_index)
         if not poly.is_zero():
             generators.append(poly)
     return InputDocument(ring=ring, generators=generators)

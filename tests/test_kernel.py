@@ -31,7 +31,7 @@ from cmreg import (
 )
 from cmreg.groebner import buchberger
 from cmreg.monomial_ideals import complete_intersection_numerator
-from cmreg.orders import mono_coprime, mono_div, mono_divides, mono_lcm
+from cmreg.orders import mono_divides, mono_lcm
 from cmreg.regularity import random_invertible_matrix, transform_ideal
 
 from conftest import monomials_of_degree, quartic_curve_ideal, spy_on_the_kernel
@@ -39,6 +39,16 @@ from conftest import monomials_of_degree, quartic_curve_ideal, spy_on_the_kernel
 KERNEL_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(32003))
+
+
+def mono_div(a, b):
+    """The quotient exponent vector a - b; requires x^b | x^a."""
+    assert mono_divides(b, a)
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def reference_normal_form(f, basis):

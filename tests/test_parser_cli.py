@@ -3,13 +3,19 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmreg.fields
 from cmreg import (
+    QQ,
     Ideal,
     InputError,
     MonomialIdeal,
@@ -27,7 +33,7 @@ from cmreg import (
     s_polynomial,
 )
 from cmreg.betti import upper_koszul_complex
-from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, run
+from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, build_parser, run
 from cmreg.groebner import buchberger
 
 from conftest import non_borel_draw, quartic_curve_ideal
@@ -146,6 +152,10 @@ class TestParser:
             ("ring: x y\nfield: RR\nideal:\n", "field"),
             ("ring: x y\nfield: GF(6)\nideal:\n", "prime"),
             ("ring: x y\nfield: QQ\nx*y\n", "ideal"),
+            # a parenthesis around p needs its partner
+            ("ring: x y\nfield: GF(7\nideal:\n", "line 2: unknown field"),
+            ("ring: x y\nfield: GF7)\nideal:\n", "line 2: unknown field"),
+            ("ring: x y\nfield: GF((7)\nideal:\n", "line 2: unknown field"),
         ],
     )
     def test_structural_errors(self, text, fragment):
@@ -175,6 +185,73 @@ class TestParser:
         msg = str(exc.value)
         assert "homogeneous" in msg
         assert "1" in msg and "2" in msg
+
+    @pytest.mark.parametrize("spec", ["GF(7)", "GF ( 7 )", "GF7", "GF 7"])
+    def test_prime_field_spellings(self, spec):
+        doc = parse_input("ring: x y\nfield: %s\nideal:\nx*y\n" % spec)
+        assert doc.ring.field == PrimeField(7)
+
+    @pytest.mark.parametrize(
+        "field,line,col,fragment",
+        [
+            ("QQ", "x*w", 3, "undeclared variable 'w'"),
+            ("QQ", "x^ + y", 4, "expected an exponent"),
+            ("QQ", "x^", 3, "expected an exponent"),
+            ("QQ", "1/", 3, "expected a denominator"),
+            ("QQ", "1/0 x", 3, "zero denominator"),
+            ("GF(7)", "1/2 x", 2, "need field QQ"),
+            ("QQ", "x + - y", 5, "unexpected '-'"),
+            ("QQ", "x -", 4, "unexpected end of line"),
+            ("QQ", "x y z \u00e9", 7, "unexpected '\u00e9'"),
+            ("QQ", "x y 2", 5, "unexpected '2'"),
+            ("QQ", "x + x*y", 3, "not homogeneous (terms of degrees 1 and 2)"),
+            # a column counts from the first character of the line as written
+            ("QQ", "\t x + \u00e9", 7, "unexpected '\u00e9'"),
+        ],
+    )
+    def test_polynomial_error_line_and_column(self, field, line, col, fragment):
+        text = "ring: x y z\nfield: %s\nideal:\n# a comment\nx*y\n%s # note\n" % (field, line)
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.col) == (6, col)
+        assert fragment in str(exc.value)
+        assert str(exc.value).startswith("line 6, column %d: " % col)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 12)), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_printed_polynomial_parses_back(self, field, n, degree, coeffs, seed):
+        """str() of a homogeneous polynomial, re-spaced and with '*' dropped
+        where optional or doubled, reads back as the same polynomial."""
+        rng = random.Random(seed)
+        ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)], field)
+        terms = []
+        for num, den in coeffs:
+            exps = [0] * n
+            for _ in range(degree):
+                exps[rng.randrange(n)] += 1
+            c = Fraction(num, den) if field == QQ else num
+            terms.append((field(c.numerator, c.denominator) if field == QQ else c, tuple(exps)))
+        poly = ring.from_terms(terms)
+
+        def respace(m):
+            sep = m.group()
+            if sep == "*":
+                # a '*' may vanish after a coefficient; between names it keeps a space
+                options = ["*", "**", " * ", " ", "\t"] + ([""] if m.string[m.start() - 1].isdigit() else [])
+                return rng.choice(options)
+            if sep == " ":
+                return rng.choice(["", " ", "  ", "\t"])
+            return rng.choice(["", " "]) + sep + rng.choice(["", " "])
+
+        text = re.sub(r"[* ^/]", respace, str(poly))
+        doc = parse_input("ring: %s\nfield: %s\nideal:\n%s\n" % (" ".join(ring.names), field.name, text))
+        assert doc.generators == ([] if poly.is_zero() else [poly])
 
 
 def run_cli(argv):
@@ -421,14 +498,23 @@ class TestCli:
         assert code == EXIT_INPUT
         assert "compute" in err
 
+    def test_argument_parser_built_once(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        parser.parse_args(["compute", "--input", "a", "--t", "2", "--method", "all", "--json"])
+        # the reused parser keeps nothing from one run to the next
+        argv = ["compute", "--input", "b"]
+        assert parser.parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "cmreg" in out
-        # the rational arithmetic actually loaded: gmpy2.mpq or Fraction
+        # the rational arithmetic: fractions.Fraction
         assert "%s.%s" % (cmreg.fields._mpq.__module__, cmreg.fields._mpq.__name__) in out
+        assert "rationals: fractions.Fraction" in out
 
 
 class TestOneInitialIdeal:

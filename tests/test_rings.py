@@ -11,7 +11,6 @@ from cmreg import PolynomialRing, PrimeField, QQ, apply_linear_change
 from cmreg.orders import (
     degrevlex_key,
     m_index,
-    mono_div,
     mono_divides,
     mono_lcm,
 )
@@ -58,15 +57,12 @@ class TestCompare:
 class TestMonomialOps:
     def test_divides_quotient(self):
         assert mono_divides((1, 1), (2, 1))
-        assert mono_div((2, 1), (1, 1)) == (1, 0)
 
     def test_lcm(self):
         assert mono_lcm((1, 1), (0, 3)) == (1, 3)
 
     def test_not_divides(self):
         assert not mono_divides((0, 0, 1), (1, 1, 0))
-        with pytest.raises(ValueError):
-            mono_div((1, 1, 0), (0, 0, 1))
 
     def test_m_index(self):
         assert m_index((2, 0, 1, 0)) == 3
