@@ -75,7 +75,9 @@ def _parse_polynomial(line, lineno, ring, var_index):
                 raise ParseError("zero denominator", lineno, m.start("den") + 1)
         factors = list(_FACTOR_RE.finditer(m["factors"]))
         if m["num"] is None and not factors:
-            raise ParseError(_unexpected(line, m.end()), lineno, m.end() + 1)
+            # nothing but '*' (or nothing at all) after the sign
+            at = m.start("factors")
+            raise ParseError(_unexpected(line, at), lineno, at + 1)
         exps = [0] * ring.n
         for f in factors:
             col = m.start("factors") + f.start() + 1
@@ -107,22 +109,33 @@ def _strip_comment(line):
     return line.split("#", 1)[0]
 
 
+def _header(it, lineno, key, what):
+    """The next content line's number and its text after `key`, stripped."""
+    try:
+        lineno, line = next(it)
+    except StopIteration:
+        raise ParseError("expected %s" % what, lineno) from None
+    line = line.lstrip()
+    if not line.startswith(key):
+        raise ParseError("expected %s" % what, lineno)
+    return lineno, line[len(key) :].strip()
+
+
 def parse_input(text):
     """Parse an ideal file into an InputDocument."""
-    lines = text.splitlines()
+    # each line keeps its leading blanks, so that a column counts from the
+    # first character of the line as written
     content = [
-        (i + 1, stripped)
-        for i, raw in enumerate(lines)
-        if (stripped := _strip_comment(raw).strip())
+        (i + 1, line)
+        for i, raw in enumerate(text.splitlines())
+        if (line := _strip_comment(raw).rstrip())
     ]
     if not content:
         raise ParseError("empty input", 1)
     it = iter(content)
 
-    lineno, line = next(it)
-    if not line.startswith("ring:"):
-        raise ParseError("expected 'ring:' declaration", lineno)
-    names = line[len("ring:") :].split()
+    lineno, names = _header(it, 1, "ring:", "'ring:' declaration")
+    names = names.split()
     if not names:
         raise ParseError("no variables declared", lineno)
     for name in names:
@@ -131,13 +144,7 @@ def parse_input(text):
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names", lineno)
 
-    try:
-        lineno, line = next(it)
-    except StopIteration:
-        raise ParseError("expected 'field:' declaration", lineno) from None
-    if not line.startswith("field:"):
-        raise ParseError("expected 'field:' declaration", lineno)
-    spec = line[len("field:") :].strip()
+    lineno, spec = _header(it, lineno, "field:", "'field:' declaration")
     if spec == "QQ":
         field = QQ
     else:
@@ -150,19 +157,14 @@ def parse_input(text):
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
 
-    try:
-        lineno, line = next(it)
-    except StopIteration:
-        raise ParseError("expected 'ideal:' section", lineno) from None
-    if line != "ideal:":
+    lineno, rest = _header(it, lineno, "ideal:", "'ideal:' section")
+    if rest:
         raise ParseError("expected 'ideal:' section", lineno)
 
     ring = PolynomialRing(names, field)
     var_index = {name: i for i, name in enumerate(names)}
     generators = []
-    for lineno, _ in it:
-        # a column counts from the first character of the line as written
-        line = _strip_comment(lines[lineno - 1]).rstrip()
+    for lineno, line in it:
         poly = _parse_polynomial(line, lineno, ring, var_index)
         if not poly.is_zero():
             generators.append(poly)

@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +201,8 @@ class TestParser:
             ("GF(7)", "1/2 x", 2, "need field QQ"),
             ("QQ", "x + - y", 5, "unexpected '-'"),
             ("QQ", "x -", 4, "unexpected end of line"),
+            ("QQ", "x + *", 5, "unexpected '*'"),
+            ("QQ", "*", 1, "unexpected '*'"),
             ("QQ", "x y z \u00e9", 7, "unexpected '\u00e9'"),
             ("QQ", "x y 2", 5, "unexpected '2'"),
             ("QQ", "x + x*y", 3, "not homogeneous (terms of degrees 1 and 2)"),
@@ -229,14 +230,15 @@ class TestParser:
         """str() of a homogeneous polynomial, re-spaced and with '*' dropped
         where optional or doubled, reads back as the same polynomial."""
         rng = random.Random(seed)
-        ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)], field)
+        # names without digits: a digit before '*' is then a coefficient's or
+        # an exponent's, and the '*' after it may vanish
+        ring = PolynomialRing(list("xyzw"[:n]), field)
         terms = []
         for num, den in coeffs:
             exps = [0] * n
             for _ in range(degree):
                 exps[rng.randrange(n)] += 1
-            c = Fraction(num, den) if field == QQ else num
-            terms.append((field(c.numerator, c.denominator) if field == QQ else c, tuple(exps)))
+            terms.append((field(num, den) if field == QQ else num, tuple(exps)))
         poly = ring.from_terms(terms)
 
         def respace(m):
