@@ -101,6 +101,10 @@ def emit_json(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
+# report keys that only the JSON document carries
+_JSON_ONLY = {"gin_draws_agreed", "gin_draws_total", "gin_borel_certified", "generic_retries"}
+
+
 def _print_human(doc, out):
     def show(label, value):
         if isinstance(value, list):  # the c list prints -inf, not '-inf'
@@ -111,27 +115,11 @@ def _print_human(doc, out):
     show("field", doc["input"]["field"])
     for name, rep in doc["methods"].items():
         print("[method %s]" % name, file=out)
-        for key in (
-            "t",
-            "dim_quotient",
-            "c",
-            "reg_quotient",
-            "reg_ideal",
-            "astar_quotient",
-            "astar_ideal",
-            "reg_t_quotient",
-            "astar_t_quotient",
-            "max_generator_degree",
-        ):
-            if key in rep:
-                show("  " + key, rep[key])
-        if "initial_ideal" in rep:
-            show(
-                "  initial_ideal",
-                ", ".join(m["monomial"] for m in rep["initial_ideal"]),
-            )
-        if "gin" in rep:
-            show("  gin", ", ".join(m["monomial"] for m in rep["gin"]))
+        for key, value in rep.items():
+            if key in ("initial_ideal", "gin"):
+                value = ", ".join(m["monomial"] for m in value)
+            if key not in _JSON_ONLY:
+                show("  " + key, value)
     if "methods_agree" in doc:
         show("methods agree", doc["methods_agree"])
     if "betti" in doc:

@@ -27,10 +27,11 @@ through the same kernel, and only then are field values made: one
 `s_polynomial` give library callers the same kernel on field values; a
 remainder is exactly the one field arithmetic gives, not a multiple of it.
 
-Buchberger can be given a Hilbert target: a series that HS(S/I) is at
-least in every degree, with equality for an initial ideal.  in(I) in other
-coordinates is one, since an invertible linear change keeps the Hilbert
-series (Traverso's Hilbert-driven Buchberger).  So is the degree bound
+Buchberger can be given a Hilbert target: the numerator of a series that
+HS(S/I) is at least in every degree, with equality for an initial ideal.
+The numerator of in(I) in other coordinates is one, since an invertible
+linear change keeps the Hilbert series (Traverso's Hilbert-driven
+Buchberger).  So is the numerator of the degree bound
 prod (1 - t^{d_i}) / (1-t)^n of r <= n forms of degrees d_i, attained
 exactly by a complete intersection (Froeberg): dim I_k is the rank of
 (f_1..f_r) from the sum of the S_{k-d_i} to S_k, at most its rank for
@@ -82,7 +83,7 @@ class Ideal:
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._initials = {}  # g -> in(g I), identity (None) included: see regularity._initial_of
+        self._initial = None  # in(I), filled by regularity._initial_of
 
     def is_zero(self):
         return not self.generators
@@ -110,23 +111,23 @@ def _element(lead, lc, tail):
 
 
 def _reducer(g):
-    """The nonzero polynomial g in the kernel's form, kept on g.  Over QQ
-    the coefficients are those of g's primitive integer multiple with
-    positive lead; over GF(p) they are the residues of g / lc(g), so the
-    lead coefficient is 1."""
-    if g._reducer is None:
-        lm = g.leading_monomial()
-        if g.ring.field.characteristic:
-            ints = g.monic().coeffs
-        else:
-            ints = g.ring.field.integers(g.coeffs)[1]
-            content = gcd(*ints.values())
-            if ints[lm] < 0:
-                content = -content
-            ints = {e: v // content for e, v in ints.items()}
-        tail = tuple((_key(e), v) for e, v in ints.items() if e != lm)
-        g._reducer = _element(_key(lm), ints[lm], tail)
-    return g._reducer
+    """The nonzero polynomial g in the kernel's form.  Over QQ the
+    coefficients are those of g's primitive integer multiple with positive
+    lead; over GF(p) they are the residues of g / lc(g), so the lead
+    coefficient is 1."""
+    lm = g.leading_monomial()
+    p = g.ring.field.characteristic
+    if p:
+        inv = pow(g.coeffs[lm], -1, p)
+        ints = {e: v * inv % p for e, v in g.coeffs.items()}
+    else:
+        ints = g.ring.field.integers(g.coeffs)[1]
+        content = gcd(*ints.values())
+        if ints[lm] < 0:
+            content = -content
+        ints = {e: v // content for e, v in ints.items()}
+    tail = tuple((_key(e), v) for e, v in ints.items() if e != lm)
+    return _element(_key(lm), ints[lm], tail)
 
 
 def _reduce(work, basis, p):
@@ -287,26 +288,25 @@ def _buchberger(ring, G, target):
 
     for j in range(1, len(G)):
         add_pairs(j)
-    goal = hilbert_numerator(target) if isinstance(target, MonomialIdeal) else target
     counted = 0  # len(G) when the numerator of the leads was taken
     degree = None  # the lcm degree of the pairs being reduced
     gap = 0  # dim S_degree - [target]_degree - dim <leads>_degree
     while heap:
         _, i, j, lcm_ij = heappop(heap)
         pairs.discard((i, j))
-        if goal is not None:
+        if target is not None:
             d = -lcm_ij[0]
             if d != degree:
                 if len(G) > counted:
                     counted = len(G)
                     leads = [_exps(g[1]) for g in G]
                     have = hilbert_numerator(MonomialIdeal.from_generators(ring, leads))
-                    if have == goal:
+                    if have == target:
                         break
                 degree = d
                 gap = hilbert_function_from_numerator(
                     have, ring.n, d
-                ) - hilbert_function_from_numerator(goal, ring.n, d)
+                ) - hilbert_function_from_numerator(target, ring.n, d)
                 if gap < 0:
                     raise InputError(
                         "the target is not a Hilbert target of this ideal: it "
@@ -339,9 +339,9 @@ def buchberger(generators, target=None):
     monic.
 
     target, when given, is a Hilbert target for the ideal I the generators
-    span: HS(S/I) is at least this series, with equality for an in(g I).
-    It is a Hilbert numerator, or a MonomialIdeal in(g I) standing for its
-    numerator.  For r <= n forms of degrees d_i, prod (1 - t^{d_i}) is one:
+    span: the numerator of a series that HS(S/I) is at least, such as the
+    Hilbert numerator of any in(g I), which attains it.  For r <= n forms
+    of degrees d_i, prod (1 - t^{d_i}) is one:
     dim I_k is at most the rank of the same map for forms with
     indeterminate coefficients, which the exact Koszul complex of
     x_1^{d_1}, ..., x_r^{d_r} makes dim S_k minus the bound's k-th
@@ -384,9 +384,9 @@ def interreduce(G):
 
 def reduced_groebner_basis(ideal, target=None):
     """The unique reduced monic Groebner basis of a homogeneous ideal;
-    target, if known, is a Hilbert target for it: in(g ideal) for an
-    invertible linear change g, or a numerator that HS(S/ideal) is at
-    least (see buchberger)."""
+    target, if known, is a Hilbert target for it: the Hilbert numerator of
+    in(g ideal) for an invertible linear change g, or one that HS(S/ideal)
+    is at least (see buchberger)."""
     if not isinstance(ideal, Ideal):
         raise TypeError("expected an Ideal")
     G = [_reducer(g) for g in ideal.generators]

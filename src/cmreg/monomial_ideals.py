@@ -72,15 +72,13 @@ def minimalize(gens):
 class MonomialIdeal:
     """A monomial ideal by its minimal generators, canonically sorted."""
 
-    # _initials maps a change of coordinates to in(g J), filled by regularity;
     # _hilbert keeps hilbert_numerator(J), which the routes read several times
-    __slots__ = ("ring", "gens", "_initials", "_hilbert")
+    __slots__ = ("ring", "gens", "_hilbert")
 
     def __init__(self, ring, gens):
         # gens assumed already minimal; use from_generators otherwise
         self.ring = ring
         self.gens = tuple(sorted(gens, key=ring.key, reverse=True))
-        self._initials = {}
         self._hilbert = None
 
     @classmethod

@@ -50,6 +50,11 @@ _TERM_RE = re.compile(
     r"(?P<factors>(?:\s*(?:\*|%s(?:\s*\^\s*\d*)?))*)\s*" % _NAME
 )
 _FACTOR_RE = re.compile(r"(?P<name>%s)(?:\s*\^\s*(?P<exp>\d*))?" % _NAME)
+# int() refuses longer digit strings on interpreters with Python's default
+# conversion limit, and 3.10.0-3.10.6 have no limit: a fixed bound refuses
+# the same inputs on every supported interpreter
+MAX_DIGITS = 4300
+_LONG_DIGITS_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 
 
 def _unexpected(line, pos):
@@ -109,6 +114,16 @@ def _strip_comment(line):
     return line.split("#", 1)[0]
 
 
+def _digits_checked(content):
+    """The (line number, line) pairs of content in order, refusing a line
+    with a run of more than MAX_DIGITS digits at the run's column."""
+    for lineno, line in content:
+        m = _LONG_DIGITS_RE.search(line)
+        if m:
+            raise ParseError("a run of more than %d digits" % MAX_DIGITS, lineno, m.start() + 1)
+        yield lineno, line
+
+
 def _header(it, lineno, key, what):
     """The next content line's number and its text after `key`, stripped."""
     try:
@@ -132,7 +147,7 @@ def parse_input(text):
     ]
     if not content:
         raise ParseError("empty input", 1)
-    it = iter(content)
+    it = _digits_checked(content)
 
     lineno, names = _header(it, 1, "ring:", "'ring:' declaration")
     names = names.split()

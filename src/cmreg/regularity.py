@@ -33,6 +33,7 @@ from .monomial_ideals import (
     MathematicalFailure,
     MonomialIdeal,
     complete_intersection_numerator,
+    hilbert_numerator,
     is_borel_fixed,
     krull_dimension,
     quotient_top_degree,
@@ -114,33 +115,37 @@ def _check_input(J, t):
         raise InputError("the unit ideal has no regularity invariants")
 
 
-def _initial_of(I, rows=None):
-    """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
-    change of coordinates g given by rows (None: the identity).  Each is
-    kept on I for the run, so that the routes share in(I) and a matrix
-    drawn twice costs one Groebner basis.
+def _hilbert_target(I, drawn=None):
+    """Buchberger's Hilbert target for every in(g I) of an Ideal or a
+    MonomialIdeal I.  All of them have the Hilbert series of I, so the
+    target is the numerator of one already known: I itself when monomial,
+    in(I) once computed, or else drawn, an in(g' I) the caller computed.
+    Before any is known, an Ideal of r <= n generators of degrees d_i has
+    the degree bound prod (1 - t^{d_i}): HS(S/I) is at least that series,
+    with equality exactly for a complete intersection (see buchberger).
+    More generators get no target, since their product bounds nothing."""
+    known = I if isinstance(I, MonomialIdeal) else I._initial or drawn
+    if known is not None:
+        return hilbert_numerator(known)
+    if len(I.generators) <= I.ring.n:
+        return complete_intersection_numerator(g.degree() for g in I.generators)
+    return None
 
-    Every in(g I) has the Hilbert series of I, so a MonomialIdeal I, or any
-    in(g' I) already kept, is Buchberger's Hilbert target.  Before any is
-    kept, an Ideal of r <= n generators of degrees d_i has the degree bound
-    prod (1 - t^{d_i}) as its target: HS(S/I) is at least that series, with
-    equality exactly for a complete intersection (see buchberger).  More
-    generators get no target, since their product bounds nothing."""
-    if rows is None and isinstance(I, MonomialIdeal):
+
+def _initial_of(I, rows=None, drawn=None):
+    """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
+    change of coordinates g given by rows (None: the identity).  in(I) is
+    kept on an Ideal, so that the routes share it; in(g I) for a drawn g
+    is computed when asked and never kept.  Buchberger's target is
+    _hilbert_target(I, drawn)."""
+    if rows is not None:
+        gI = transform_ideal(I, rows)
+        return initial_ideal(reduced_groebner_basis(gI, _hilbert_target(I, drawn)), I.ring)
+    if isinstance(I, MonomialIdeal):
         return I
-    key = None if rows is None else tuple(map(tuple, rows))
-    if key not in I._initials:
-        J = I if rows is None else transform_ideal(I, rows)
-        if isinstance(I, MonomialIdeal):
-            target = I
-        elif I._initials:
-            target = next(iter(I._initials.values()))
-        elif len(I.generators) <= I.ring.n:
-            target = complete_intersection_numerator(g.degree() for g in I.generators)
-        else:
-            target = None
-        I._initials[key] = initial_ideal(reduced_groebner_basis(J, target), I.ring)
-    return I._initials[key]
+    if I._initial is None:
+        I._initial = initial_ideal(reduced_groebner_basis(I, _hilbert_target(I)), I.ring)
+    return I._initial
 
 
 def c_invariants(I, t):
@@ -279,7 +284,8 @@ def generic_initial_ideal(I, seed=0, bound=DENSE_ENTRY_BOUND):
     draws = 0
     while draws < DRAW_CAP:
         m = random_invertible_matrix(rng, ring.n, ring.field, bound)
-        J = _initial_of(I, m)
+        # the first draw's numerator is every later draw's target
+        J = _initial_of(I, m, next(iter(seen), None))
         draws += 1
         seen[J] = seen.get(J, 0) + 1
         if seen[J] >= 2 and is_borel_fixed(J):

@@ -115,39 +115,29 @@ def _check_same_ring(f, g):
 class Polynomial:
     """An element of a PolynomialRing; immutable."""
 
-    # _terms, _lead and _reducer are computed on first use and kept, which
-    # is safe because a Polynomial never changes; _reducer holds the
-    # integer form in which groebner's kernel reduces by it
-    __slots__ = ("ring", "coeffs", "_terms", "_lead", "_reducer")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = coeffs
-        self._terms = None
-        self._lead = None
-        self._reducer = None
 
     @property
     def terms(self):
         """Terms (coeff, exps) sorted descending in degrevlex."""
-        if self._terms is None:
-            key = self.ring.key
-            self._terms = tuple(
-                (self.coeffs[e], e)
-                for e in sorted(self.coeffs, key=key, reverse=True)
-            )
-        return self._terms
+        key = self.ring.key
+        return tuple(
+            (self.coeffs[e], e)
+            for e in sorted(self.coeffs, key=key, reverse=True)
+        )
 
     def is_zero(self):
         return not self.coeffs
 
     def leading_term(self):
-        if self._lead is None:
-            if not self.coeffs:
-                raise ValueError("the zero polynomial has no leading term")
-            e = max(self.coeffs, key=self.ring.key)
-            self._lead = self.coeffs[e], e
-        return self._lead
+        if not self.coeffs:
+            raise ValueError("the zero polynomial has no leading term")
+        e = max(self.coeffs, key=self.ring.key)
+        return self.coeffs[e], e
 
     def leading_monomial(self):
         return self.leading_term()[1]

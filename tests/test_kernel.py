@@ -248,12 +248,13 @@ def test_buchberger_pair_counts_are_pinned(monkeypatch, ideal, with_bound, calls
     "with_target, calls, zeros", [(False, 29, 18), (True, 11, 0)], ids=["no-target", "target"]
 )
 def test_buchberger_pair_counts_of_a_retry_are_pinned(monkeypatch, with_target, calls, zeros):
-    # a retry of the dense quadrics in fixed coordinates; the Hilbert target
-    # in(I) of the untransformed ideal skips every pair that would reduce to
-    # zero in a degree where the leads already span in(g I)
+    # a retry of the dense quadrics in fixed coordinates; the Hilbert target,
+    # the numerator of in(I) of the untransformed ideal, skips every pair
+    # that would reduce to zero in a degree where the leads already span in(g I)
     ideal = dense_quadrics()
     rows = [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 2]]
-    target = initial_ideal(reduced_groebner_basis(ideal), ideal.ring) if with_target else None
+    in_I = initial_ideal(reduced_groebner_basis(ideal), ideal.ring)
+    target = hilbert_numerator(in_I) if with_target else None
     results = spy_on_the_kernel(monkeypatch)
     buchberger(list(transform_ideal(ideal, rows).generators), target)
     assert (len(results), sum(results)) == (calls, zeros)

@@ -24,6 +24,7 @@ from cmreg import (
     RegularityReport,
     apply_linear_change,
     betti_table,
+    hilbert_numerator,
     initial_ideal,
     lcm_multidegrees,
     parse_input,
@@ -208,6 +209,11 @@ class TestParser:
             ("QQ", "x + x*y", 3, "not homogeneous (terms of degrees 1 and 2)"),
             # a column counts from the first character of the line as written
             ("QQ", "\t x + \u00e9", 7, "unexpected '\u00e9'"),
+            # a number past Python's default conversion limit of 4300 digits
+            # is refused at its column, before int() sees it
+            pytest.param("QQ", "x + " + "7" * 4301 + "*y", 5, "more than 4300 digits", id="long-coefficient"),
+            pytest.param("QQ", "x - 1/" + "7" * 5000 + " y", 7, "more than 4300 digits", id="long-denominator"),
+            pytest.param("GF(7)", "x*y^" + "1" * 4301, 5, "more than 4300 digits", id="long-exponent"),
         ],
     )
     def test_polynomial_error_line_and_column(self, field, line, col, fragment):
@@ -217,6 +223,17 @@ class TestParser:
         assert (exc.value.line, exc.value.col) == (6, col)
         assert fragment in str(exc.value)
         assert str(exc.value).startswith("line 6, column %d: " % col)
+
+    def test_a_long_prime_is_refused_at_its_column(self):
+        with pytest.raises(ParseError) as exc:
+            parse_input("ring: x y\n  field: GF(%s)\nideal:\nx*y\n" % ("7" * 5000))
+        assert (exc.value.line, exc.value.col) == (2, 13)
+        assert "more than 4300 digits" in str(exc.value)
+
+    def test_numbers_of_4300_digits_are_read(self):
+        num, den = "7" * 4300, "1" * 4300
+        doc = parse_input("ring: x y\nfield: QQ\nideal:\n%s/%s x - y\n" % (num, den))
+        assert doc.generators[0].coeffs[(1, 0)] == QQ(int(num), int(den))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -688,7 +705,7 @@ X, Y = R2.gens()
         lambda: MonomialIdeal.from_generators(R2, [(1, 0)]).set_vars_zero(2),
         lambda: R2.drop_last(2),
         # (x, y) leaves no quadric, (x^2) leaves two: (x^2) is no in(g I)
-        lambda: buchberger([X, Y], MonomialIdeal.from_generators(R2, [(2, 0)])),
+        lambda: buchberger([X, Y], hilbert_numerator(MonomialIdeal.from_generators(R2, [(2, 0)]))),
         lambda: quotient_top_degree(
             MonomialIdeal.from_generators(R2, [(1, 0)]),
             MonomialIdeal.from_generators(PolynomialRing(["x", "y", "z"]), [(1, 0, 0)]),

@@ -474,7 +474,17 @@ class TestDegreeBoundTarget:
         targets.clear()
         generic_initial_ideal(self.quadrics(3), seed=3)
         assert targets[0] == bound
-        assert all(isinstance(t, MonomialIdeal) for t in targets[1:])
+        # every later draw gets the first draw's numerator 1 - 3t^2 + 2t^3,
+        # not the bound: these three quadrics are no complete intersection
+        assert targets[1:] == [[1, 0, -3, 2]] * (len(targets) - 1)
+
+    def test_the_retry_of_the_d_family_gets_its_numerator(self, targets):
+        # (x^4 y^4, y^4 z^4, x^4 z^4) is its own in(I); the retry in random
+        # coordinates gets its Hilbert numerator
+        R = PolynomialRing(["x", "y", "z"])
+        I = MonomialIdeal.from_generators(R, [(4, 4, 0), (0, 4, 4), (4, 0, 4)])
+        assert full_invariants(I).generic_retries == 1
+        assert targets == [hilbert_numerator(I)]
 
 
 class TestRandomMatrices:
