@@ -43,11 +43,13 @@ Before reducing a pair of lcm degree d, the loop compares the two ends;
 when they are equal the pair is skipped, because its S-polynomial lies in
 I in degree d and a nonzero remainder would have a lead in in(I)_d outside
 L_d.  Each nonzero remainder of degree d adds exactly one degree-d
-monomial to L_d, its lead, so the gap is counted down within a degree and
-L's Hilbert numerator is recomputed only when the degree changes and L has
-grown.  Once the numerators of L and of the target agree, L = in(I) and
-the basis is complete.  Only pairs whose normal form is zero are skipped,
-so the basis returned is the same with or without a target.
+monomial to L_d, its lead, so the gap is counted down within a degree.
+L's Hilbert numerator takes one colon step per new lead m,
+N(L + (m)) = N(L) - t^{deg m} N(L : m), on the small ideal L : m.  Once the
+numerators of L and of the target agree, L = in(I) and the basis is
+complete; either way the last numerator is that of in(I), and
+reduced_groebner_basis keeps it on the Ideal.  Only pairs whose normal
+form is zero are skipped, so the basis is the same with or without a target.
 """
 
 from heapq import heapify, heappop, heappush
@@ -57,8 +59,8 @@ from operator import add, itemgetter, le, neg, sub
 from .monomial_ideals import (
     InputError,
     MonomialIdeal,
+    colon_step,
     hilbert_function_from_numerator,
-    hilbert_numerator,
 )
 from .rings import Polynomial, RingMismatchError, _check_same_ring
 
@@ -84,6 +86,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._initial = None  # in(I), filled by regularity._initial_of
+        self._hilbert = None  # N(t) of S/I, kept by reduced_groebner_basis
 
     def is_zero(self):
         return not self.generators
@@ -277,18 +280,24 @@ def _buchberger(ring, G, target):
     # the negated kernel form of a monomial orders as its degrevlex key
     pairs = set()
     heap = []
+    have = [1]  # with a target: the Hilbert numerator of the leads of G
 
-    def add_pairs(j):
+    def add_element(j):
+        # open the pairs (i, j), i < j; with a target, G[j]'s lead joins the
+        # leads by one colon step
+        nonlocal have
         lead_j = G[j][1][1:]
-        for i in range(j):
-            m = tuple(map(max, G[i][1][1:], lead_j))
+        leads = [g[1][1:] for g in G[:j]]
+        for i, lead_i in enumerate(leads):
+            m = tuple(map(max, lead_i, lead_j))
             lcm_ij = (-sum(m),) + m
             heappush(heap, (tuple(map(neg, lcm_ij)), i, j, lcm_ij))
             pairs.add((i, j))
+        if target is not None:
+            have = colon_step(have, leads, lead_j)
 
-    for j in range(1, len(G)):
-        add_pairs(j)
-    counted = 0  # len(G) when the numerator of the leads was taken
+    for j in range(len(G)):
+        add_element(j)
     degree = None  # the lcm degree of the pairs being reduced
     gap = 0  # dim S_degree - [target]_degree - dim <leads>_degree
     while heap:
@@ -297,12 +306,8 @@ def _buchberger(ring, G, target):
         if target is not None:
             d = -lcm_ij[0]
             if d != degree:
-                if len(G) > counted:
-                    counted = len(G)
-                    leads = [_exps(g[1]) for g in G]
-                    have = hilbert_numerator(MonomialIdeal.from_generators(ring, leads))
-                    if have == target:
-                        break
+                if have == target:
+                    break
                 degree = d
                 gap = hilbert_function_from_numerator(
                     have, ring.n, d
@@ -329,9 +334,9 @@ def _buchberger(ring, G, target):
         remainder, scale = _reduce(_s_work(G[i], G[j], p), G, p)
         if remainder:
             G.append(_from_remainder(remainder, scale, p))
-            add_pairs(len(G) - 1)
+            add_element(len(G) - 1)
             gap -= 1
-    return G
+    return G, have
 
 
 def buchberger(generators, target=None):
@@ -354,7 +359,7 @@ def buchberger(generators, target=None):
     if not generators:
         return []
     ring = generators[0].ring
-    G = _buchberger(ring, [_reducer(g) for g in generators], target)
+    G, _ = _buchberger(ring, [_reducer(g) for g in generators], target)
     return [_monic(ring, lead, ((k, c, lc) for k, c in tail)) for _, lead, lc, tail in G]
 
 
@@ -392,7 +397,10 @@ def reduced_groebner_basis(ideal, target=None):
     G = [_reducer(g) for g in ideal.generators]
     if not G:
         return []
-    return _interreduce(ideal.ring, _buchberger(ideal.ring, G, target))
+    G, have = _buchberger(ideal.ring, G, target)
+    if target is not None:
+        ideal._hilbert = tuple(have)
+    return _interreduce(ideal.ring, G)
 
 
 def initial_ideal(gb, ring=None):

@@ -39,6 +39,7 @@ __all__ = [
     "minimalize",
     "exponent_vector",
     "hilbert_numerator",
+    "colon_step",
     "complete_intersection_numerator",
     "quotient_top_degree",
     "krull_dimension",
@@ -183,22 +184,35 @@ def hilbert_numerator(J):
     of a most-frequent variable (Bigatti's pivot), with memoization on the
     minimal generator sets.  Taking k as the least positive exponent of x_i
     in a mixed generator keeps the depth independent of the exponents.
-    The result is kept on J, so it is computed once per ideal.
+    The result is kept on J, so it is computed once per ideal; an in(g I)
+    found by Buchberger with a Hilbert target arrives with it kept.
     """
     if J._hilbert is None:
-        memo = {}
-
-        def recurse(gens):
-            key = frozenset(gens)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            result = _numerator(gens, recurse)
-            memo[key] = result
-            return result
-
-        J._hilbert = tuple(recurse(J.gens))
+        J._hilbert = tuple(_scratch_numerator(J.gens))
     return list(J._hilbert)
+
+
+def _scratch_numerator(gens):
+    """N(t) of the monomial ideal with minimal generators gens, computed
+    from nothing by the pivot recursion."""
+    memo = {}
+
+    def recurse(gens):
+        key = frozenset(gens)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = _numerator(gens, recurse)
+        return hit
+
+    return recurse(tuple(gens))
+
+
+def colon_step(num, gens, m):
+    """N(L + (m)) = N(L) - t^{deg m} N(L : m) from num = N(L), for L spanned
+    by the monomials gens, minimal or not, and a monomial m; L : m is
+    spanned by the max(g - m, 0) (Bigatti, JPAA 119, 1997)."""
+    colon = minimalize([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens])
+    return _psub(num, _pshift(_scratch_numerator(colon), sum(m)))
 
 
 def complete_intersection_numerator(degrees):
@@ -248,6 +262,8 @@ def quotient_top_degree(J_sub, J_sup):
     """
     if J_sub.ring != J_sup.ring:
         raise InputError("ideals from different rings")
+    if J_sub.gens == J_sup.gens:
+        return NEG_INF  # equal ideals: no numerator needed
     for g in J_sub.gens:
         if not J_sup.contains(g):
             raise InputError("containment J_sub <= J_sup violated")

@@ -55,6 +55,7 @@ _FACTOR_RE = re.compile(r"(?P<name>%s)(?:\s*\^\s*(?P<exp>\d*))?" % _NAME)
 # the same inputs on every supported interpreter
 MAX_DIGITS = 4300
 _LONG_DIGITS_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+_TOO_LONG = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
 
 
 def _unexpected(line, pos):
@@ -96,6 +97,14 @@ def _parse_polynomial(line, lineno, ring, var_index):
         coeffs[e] = coeffs.get(e, 0) + ring.field(-num if m["sign"] == "-" else num, den)
         cols.setdefault(e, m.start("sign") + 1)
         pos = m.end()
+    for e, c in coeffs.items():
+        # terms on one monomial can sum to a number no single term reaches
+        if max(abs(c.numerator), c.denominator) >= _TOO_LONG:
+            raise ParseError(
+                "the terms on one monomial sum to a coefficient of more than %d digits" % MAX_DIGITS,
+                lineno,
+                cols[e],
+            )
     poly = ring.from_coeffs(coeffs)
     degrees = [sum(e) for e in poly.coeffs]
     if len(set(degrees)) > 1:

@@ -123,7 +123,9 @@ def _hilbert_target(I, drawn=None):
     Before any is known, an Ideal of r <= n generators of degrees d_i has
     the degree bound prod (1 - t^{d_i}): HS(S/I) is at least that series,
     with equality exactly for a complete intersection (see buchberger).
-    More generators get no target, since their product bounds nothing."""
+    More generators get no target, since their product bounds nothing.
+    in(I) and an in(g' I) found with a target keep Buchberger's numerator
+    of their leads, so reading theirs computes nothing."""
     known = I if isinstance(I, MonomialIdeal) else I._initial or drawn
     if known is not None:
         return hilbert_numerator(known)
@@ -137,15 +139,18 @@ def _initial_of(I, rows=None, drawn=None):
     change of coordinates g given by rows (None: the identity).  in(I) is
     kept on an Ideal, so that the routes share it; in(g I) for a drawn g
     is computed when asked and never kept.  Buchberger's target is
-    _hilbert_target(I, drawn)."""
-    if rows is not None:
-        gI = transform_ideal(I, rows)
-        return initial_ideal(reduced_groebner_basis(gI, _hilbert_target(I, drawn)), I.ring)
-    if isinstance(I, MonomialIdeal):
+    _hilbert_target(I, drawn); with one, Buchberger leaves the numerator
+    of its leads on the ideal it completed, and in(g I) keeps it."""
+    if rows is None and isinstance(I, MonomialIdeal):
         return I
-    if I._initial is None:
-        I._initial = initial_ideal(reduced_groebner_basis(I, _hilbert_target(I)), I.ring)
-    return I._initial
+    if rows is None and I._initial is not None:
+        return I._initial
+    gI = I if rows is None else transform_ideal(I, rows)
+    J = initial_ideal(reduced_groebner_basis(gI, _hilbert_target(I, drawn)), I.ring)
+    J._hilbert = gI._hilbert
+    if rows is None:
+        I._initial = J
+    return J
 
 
 def c_invariants(I, t):

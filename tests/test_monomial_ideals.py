@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cmreg.monomial_ideals
 import cmreg.regularity
 from cmreg import (
     NEG_INF,
@@ -174,6 +175,21 @@ class TestHilbertNumerator:
 class TestQuotientTopDegree:
     def test_equal_ideals(self, curve_initial):
         assert quotient_top_degree(curve_initial, curve_initial) == NEG_INF
+
+    def test_equal_ideals_compute_no_numerator(self, monkeypatch, curve_initial):
+        # two distinct ideals with equal generators, neither with a kept
+        # numerator: the quotient is zero without a numerator of either
+        computed = []
+        original = cmreg.monomial_ideals._scratch_numerator
+
+        def spied(gens):
+            computed.append(gens)
+            return original(gens)
+
+        monkeypatch.setattr(cmreg.monomial_ideals, "_scratch_numerator", spied)
+        sub, sup = (MonomialIdeal(curve_initial.ring, curve_initial.gens) for _ in range(2))
+        assert quotient_top_degree(sub, sup) == NEG_INF
+        assert computed == [] and sub._hilbert is None and sup._hilbert is None
 
     def test_curve_c1(self, curve_initial):
         J1 = curve_initial.set_vars_zero(1)

@@ -235,6 +235,34 @@ class TestParser:
         doc = parse_input("ring: x y\nfield: QQ\nideal:\n%s/%s x - y\n" % (num, den))
         assert doc.generators[0].coeffs[(1, 0)] == QQ(int(num), int(den))
 
+    @pytest.mark.parametrize(
+        "line, col",
+        [
+            # no number is too long, but the sum is; the column is that of
+            # the first term on the monomial
+            pytest.param("y + 1/%s x + 1/%s1 x" % ("3" * 4300, "7" * 4299), 3, id="denominator"),
+            pytest.param("%s x - y + %s*x" % ("9" * 4300, "9" * 4300), 1, id="numerator"),
+        ],
+    )
+    def test_terms_summing_past_4300_digits_are_refused(self, tmp_path, line, col):
+        text = "ring: x y\nfield: QQ\nideal:\n%s\n" % line
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.col) == (4, col)
+        assert "sum to a coefficient of more than 4300 digits" in str(exc.value)
+        p = tmp_path / "sum.ideal"
+        p.write_text(text)
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "line 4, column %d" % col in err and "Traceback" not in err
+
+    def test_a_sum_of_4300_digits_is_read(self):
+        # 1/10^2150 + 1/(10^2149 + 1) has a denominator of exactly 4300 digits
+        a, b = 10**2150, 10**2149 + 1
+        doc = parse_input("ring: x y\nfield: QQ\nideal:\n1/%d x + 1/%d x\n" % (a, b))
+        c = doc.generators[0].coeffs[(1, 0)]
+        assert c == QQ(a + b, a * b) and len(str(c.denominator)) == 4300
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]),

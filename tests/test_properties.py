@@ -8,23 +8,29 @@ against a dense elimination; on random homogeneous ideals over QQ, GF(2)
 and GF(32003): Buchberger with a Hilbert target against Buchberger
 without one; on at most n random forms over QQ, GF(2) and GF(32003):
 their degree bound prod (1 - t^{d_i}) as a Hilbert target; on random
-homogeneous ideals over QQ: Gin's c list against the degrees of Min(Gin).
-Derandomized, so that every run draws the same examples."""
+homogeneous ideals over QQ: Gin's c list against the degrees of Min(Gin);
+on random monomials: the colon step of a Hilbert numerator against the
+numerator from nothing; and the numerator every in(g I) of a retry or a
+Gin draw keeps against one computed afresh.  Derandomized, so that every run draws the same examples."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cmreg.regularity
 from cmreg import (
     Ideal,
+    MathematicalFailure,
     MonomialIdeal,
     PolynomialRing,
     QQ,
     PrimeField,
     full_invariants,
+    generic_initial_ideal,
     hilbert_numerator,
     initial_ideal,
     invariants_via_betti,
@@ -36,6 +42,7 @@ from cmreg.betti import lcm_multidegrees, upper_koszul_complex
 from cmreg.groebner import buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.monomial_ideals import (
+    colon_step,
     complete_intersection_numerator,
     hilbert_function,
     hilbert_function_from_numerator,
@@ -315,3 +322,57 @@ def test_gin_c_list_is_read_off_the_generators_of_gin(I, seed):
     for t in range(I.ring.n + 1):
         rep = invariants_via_gin(I, t=t, seed=seed)
         assert list(rep.c) == gin_c_reference(rep.gin.gin, t)
+
+
+@st.composite
+def monomial_lists(draw):
+    """n <= 5 variables and 1 to 7 monomials in them, each exponent in
+    [0, 3], in the order drawn: repeats, multiples and the monomial 1 may
+    occur."""
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return n, draw(st.lists(exps, min_size=1, max_size=7))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(monomial_lists())
+def test_the_colon_step_is_the_numerator_from_nothing(case):
+    # N(L + (m)) = N(L) - t^{deg m} N(L : m) for L spanned by the monomials
+    # before m, up to 6 of them, minimal or not
+    n, monos = case
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)])
+    num = [1]
+    for j, m in enumerate(monos):
+        num = colon_step(num, monos[:j], m)
+        assert num == hilbert_numerator(MonomialIdeal.from_generators(ring, monos[: j + 1]))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(monomial_ideals(), qq_ideals()), st.integers(0, 2**32 - 1))
+def test_every_drawn_initial_ideal_keeps_its_true_numerator(I, seed):
+    # the retries of the c route and the Gin draws, the first on a copy of
+    # I with no in(I) yet: each in(g I) found with a Hilbert target keeps
+    # Buchberger's numerator of its leads, which must be the one computed
+    # afresh on an ideal with its generators and nothing kept
+    made = []
+    original = cmreg.regularity._initial_of
+
+    def spied(J, rows=None, drawn=None):
+        target = cmreg.regularity._hilbert_target(J, drawn)
+        gJ = original(J, rows, drawn)
+        if rows is not None:
+            made.append((gJ, gJ._hilbert, target))  # a later draw may fill it
+        return gJ
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmreg.regularity, "_initial_of", spied)
+        for run in (full_invariants, generic_initial_ideal):
+            copy = I if isinstance(I, MonomialIdeal) else Ideal(I.ring, I.generators)
+            try:
+                run(copy, seed=seed)
+            except MathematicalFailure:
+                pass
+    for gJ, kept, target in made:
+        assert (kept is None) == (target is None)
+        if target is not None:
+            assert list(kept) == hilbert_numerator(MonomialIdeal(gJ.ring, gJ.gens))

@@ -478,6 +478,24 @@ class TestDegreeBoundTarget:
         # not the bound: these three quadrics are no complete intersection
         assert targets[1:] == [[1, 0, -3, 2]] * (len(targets) - 1)
 
+    def test_the_c_route_computes_the_numerator_of_in_i_only_in_buchberger(self, monkeypatch):
+        # Buchberger's colon steps leave N(in(I)) on in(I), so neither
+        # krull_dimension nor c_0 computes it again from the generators
+        computed = []
+        original = cmreg.monomial_ideals._scratch_numerator
+
+        def spied(gens):
+            computed.append(frozenset(gens))
+            return original(gens)
+
+        monkeypatch.setattr(cmreg.monomial_ideals, "_scratch_numerator", spied)
+        I = self.quadrics(3)
+        full_invariants(I)
+        assert I._initial._hilbert == (1, 0, -3, 2)
+        assert frozenset(I._initial.gens) not in computed
+        assert hilbert_numerator(MonomialIdeal(I.ring, I._initial.gens)) == [1, 0, -3, 2]
+        assert computed[-1] == frozenset(I._initial.gens)
+
     def test_the_retry_of_the_d_family_gets_its_numerator(self, targets):
         # (x^4 y^4, y^4 z^4, x^4 z^4) is its own in(I); the retry in random
         # coordinates gets its Hilbert numerator
