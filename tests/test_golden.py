@@ -28,6 +28,9 @@ GOLDEN = {
     # prime-field coefficients reduced mod p on input, and a c route that
     # needs one coordinate retry
     "gfp-retry": ALL_ROUTES,
+    # three rational quadrics in six variables: the c route needs one
+    # coordinate retry and Gin two draws
+    "qq-retry": ALL_ROUTES,
 }
 
 
