@@ -5,6 +5,10 @@ smallest in degrevlex comes first, ties broken by the pair's indices.  The
 open pairs sit in a heap keyed that way, so each pair's lcm is computed
 once.  The coprime-lead and chain criteria prune useless pairs.  The final
 basis is inter-reduced and monic, hence unique for the ideal and order.
+The minimal leads of any Groebner basis span the initial ideal, so
+_leading_ideal reads in(I) off Buchberger's basis as it stands: no
+inter-reduction and no field value.  The c route and Gin read in(g I) for
+each drawn g that way, and only in(I) itself comes from the reduced basis.
 
 Buchberger and inter-reduction run on one exact integer kernel.  A
 monomial x^e is held as the tuple (-deg e, e_n, ..., e_1): multiplying
@@ -48,7 +52,8 @@ L's Hilbert numerator takes one colon step per new lead m,
 N(L + (m)) = N(L) - t^{deg m} N(L : m), on the small ideal L : m.  Once the
 numerators of L and of the target agree, L = in(I) and the basis is
 complete; either way the last numerator is that of in(I), and
-reduced_groebner_basis keeps it on the Ideal.  Only pairs whose normal
+reduced_groebner_basis keeps it on the Ideal, _leading_ideal on in(I).
+Only pairs whose normal
 form is zero are skipped, so the basis is the same with or without a target.
 """
 
@@ -86,7 +91,7 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._initial = None  # in(I), filled by regularity._initial_of
-        self._hilbert = None  # N(t) of S/I, kept by reduced_groebner_basis
+        self._hilbert = None  # N(t) of S/I, kept by reduced_groebner_basis for in(I)
 
     def is_zero(self):
         return not self.generators
@@ -387,6 +392,13 @@ def interreduce(G):
     return _interreduce(G[0].ring, [_reducer(g) for g in G])
 
 
+def _groebner_basis(ideal, target):
+    """Buchberger on an Ideal with its Hilbert target (or None): a Groebner
+    basis in the kernel's form, not inter-reduced, and the Hilbert
+    numerator of its leads, which is that of in(ideal)."""
+    return _buchberger(ideal.ring, [_reducer(g) for g in ideal.generators], target)
+
+
 def reduced_groebner_basis(ideal, target=None):
     """The unique reduced monic Groebner basis of a homogeneous ideal;
     target, if known, is a Hilbert target for it: the Hilbert numerator of
@@ -394,13 +406,20 @@ def reduced_groebner_basis(ideal, target=None):
     is at least (see buchberger)."""
     if not isinstance(ideal, Ideal):
         raise TypeError("expected an Ideal")
-    G = [_reducer(g) for g in ideal.generators]
-    if not G:
-        return []
-    G, have = _buchberger(ideal.ring, G, target)
+    G, have = _groebner_basis(ideal, target)
     if target is not None:
         ideal._hilbert = tuple(have)
     return _interreduce(ideal.ring, G)
+
+
+def _leading_ideal(ideal, target):
+    """in(ideal), the minimal leads of Buchberger's basis: no inter-reduction
+    and no field value.  With a target it keeps the leads' numerator."""
+    G, have = _groebner_basis(ideal, target)
+    J = MonomialIdeal.from_generators(ideal.ring, [_exps(g[1]) for g in G])
+    if target is not None:
+        J._hilbert = tuple(have)
+    return J
 
 
 def initial_ideal(gb, ring=None):

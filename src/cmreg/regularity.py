@@ -24,7 +24,7 @@ import random
 from typing import NamedTuple, Optional
 
 from .betti import BettiTable, betti_table, invariants_from_betti
-from .groebner import Ideal, initial_ideal, reduced_groebner_basis
+from .groebner import Ideal, _leading_ideal, initial_ideal, reduced_groebner_basis
 from .monomial_ideals import (
     NEG_INF,
     POS_INF,
@@ -138,18 +138,20 @@ def _initial_of(I, rows=None, drawn=None):
     """in(g I) under degrevlex, for an Ideal or a MonomialIdeal and the
     change of coordinates g given by rows (None: the identity).  in(I) is
     kept on an Ideal, so that the routes share it; in(g I) for a drawn g
-    is computed when asked and never kept.  Buchberger's target is
-    _hilbert_target(I, drawn); with one, Buchberger leaves the numerator
-    of its leads on the ideal it completed, and in(g I) keeps it."""
+    is computed when asked and never kept.  in(I) is read off the reduced
+    basis, in(g I) off the minimal leads of Buchberger's basis, with no
+    inter-reduction.  Buchberger's target is _hilbert_target(I, drawn);
+    with one, the numerator of its leads is kept on in(g I)."""
     if rows is None and isinstance(I, MonomialIdeal):
         return I
     if rows is None and I._initial is not None:
         return I._initial
-    gI = I if rows is None else transform_ideal(I, rows)
-    J = initial_ideal(reduced_groebner_basis(gI, _hilbert_target(I, drawn)), I.ring)
-    J._hilbert = gI._hilbert
-    if rows is None:
-        I._initial = J
+    target = _hilbert_target(I, drawn)
+    if rows is not None:
+        return _leading_ideal(transform_ideal(I, rows), target)
+    J = initial_ideal(reduced_groebner_basis(I, target), I.ring)
+    J._hilbert = I._hilbert
+    I._initial = J
     return J
 
 

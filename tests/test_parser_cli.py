@@ -569,17 +569,17 @@ class TestOneInitialIdeal:
 
     @pytest.fixture
     def gb_calls(self, monkeypatch):
-        import cmreg.cli
-        import cmreg.regularity
+        # every Buchberger run of a route, for in(I) and for each drawn g
+        import cmreg.groebner
 
         calls = []
-        original = cmreg.regularity.reduced_groebner_basis
+        original = cmreg.groebner._groebner_basis
 
-        def counted(ideal, target=None):
+        def counted(ideal, target):
             calls.append(ideal)
             return original(ideal, target)
 
-        monkeypatch.setattr(cmreg.regularity, "reduced_groebner_basis", counted)
+        monkeypatch.setattr(cmreg.groebner, "_groebner_basis", counted)
         return calls
 
     def run_json(self, tmp_path, text, method):

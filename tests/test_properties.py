@@ -11,7 +11,10 @@ their degree bound prod (1 - t^{d_i}) as a Hilbert target; on random
 homogeneous ideals over QQ: Gin's c list against the degrees of Min(Gin);
 on random monomials: the colon step of a Hilbert numerator against the
 numerator from nothing; and the numerator every in(g I) of a retry or a
-Gin draw keeps against one computed afresh.  Derandomized, so that every run draws the same examples."""
+Gin draw keeps against one computed afresh; and on random homogeneous
+ideals over QQ, GF(2) and GF(32003) in drawn coordinates: the minimal
+leads of Buchberger's basis against the initial ideal of the reduced
+basis.  Derandomized, so that every run draws the same examples."""
 
 import random
 from fractions import Fraction
@@ -39,7 +42,7 @@ from cmreg import (
     s_polynomial,
 )
 from cmreg.betti import lcm_multidegrees, upper_koszul_complex
-from cmreg.groebner import buchberger, interreduce
+from cmreg.groebner import _leading_ideal, buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.monomial_ideals import (
     colon_step,
@@ -47,7 +50,11 @@ from cmreg.monomial_ideals import (
     hilbert_function,
     hilbert_function_from_numerator,
 )
-from cmreg.regularity import random_invertible_matrix, transform_ideal
+from cmreg.regularity import (
+    random_invertible_matrix,
+    random_unitriangular_matrix,
+    transform_ideal,
+)
 
 from conftest import gin_c_reference, monomials_of_degree
 
@@ -376,3 +383,45 @@ def test_every_drawn_initial_ideal_keeps_its_true_numerator(I, seed):
         assert (kept is None) == (target is None)
         if target is not None:
             assert list(kept) == hilbert_numerator(MonomialIdeal(gJ.ring, gJ.gens))
+
+
+@st.composite
+def drawn_coordinates(draw):
+    """1 to 4 homogeneous forms in n <= 4 variables over QQ, GF(2) or
+    GF(32003), of degree 1 to 3 with at most 4 terms and coefficients in
+    [-5, 5], and a change of coordinates as the c route's retries draw it
+    (unitriangular) or as its last retry and Gin draw it (dense)."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(32003)]))
+    n = draw(st.integers(1, 4))
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)], field)
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = st.sampled_from(monomials_of_degree(n, draw(st.integers(1, 3))))
+        terms = draw(st.lists(st.tuples(st.integers(-5, 5), monos), min_size=1, max_size=4))
+        gens.append(ring.from_terms(terms))
+    I = Ideal(ring, gens)
+    assume(not I.is_zero())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = random_unitriangular_matrix(rng, n)
+    else:
+        rows = random_invertible_matrix(rng, n, field, bound=5)
+    return I, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(drawn_coordinates())
+def test_the_leads_of_buchbergers_basis_give_the_initial_ideal(case):
+    # the minimal leads of any Groebner basis of g I span in(g I), with no
+    # target or with in(I)'s numerator; a numerator is kept exactly when
+    # there was a target, and it is the one computed afresh
+    I, rows = case
+    in_I = initial_ideal(reduced_groebner_basis(I), I.ring)
+    in_gI = initial_ideal(reduced_groebner_basis(transform_ideal(I, rows)), I.ring)
+    for target in (None, hilbert_numerator(in_I)):
+        J = _leading_ideal(transform_ideal(I, rows), target)
+        assert J == in_gI
+        if target is None:
+            assert J._hilbert is None
+        else:
+            assert list(J._hilbert) == hilbert_numerator(MonomialIdeal(J.ring, J.gens))
