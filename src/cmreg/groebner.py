@@ -51,10 +51,10 @@ monomial to L_d, its lead, so the gap is counted down within a degree.
 L's Hilbert numerator takes one colon step per new lead m,
 N(L + (m)) = N(L) - t^{deg m} N(L : m), on the small ideal L : m.  Once the
 numerators of L and of the target agree, L = in(I) and the basis is
-complete; either way the last numerator is that of in(I), and
-reduced_groebner_basis keeps it on the Ideal, _leading_ideal on in(I).
-Only pairs whose normal
-form is zero are skipped, so the basis is the same with or without a target.
+complete; either way the last numerator is that of in(I), which
+reduced_groebner_basis keeps on the Ideal and _leading_ideal on the
+monomial ideal it returns.  Only pairs whose normal form is zero are
+skipped, so the basis is the same with or without a target.
 """
 
 from heapq import heapify, heappop, heappush
