@@ -40,6 +40,7 @@ from .parser import parse_input
 from .regularity import (
     DENSE_ENTRY_BOUND,
     FilterRegularityFailure,
+    _check_bound,
     full_invariants,
     invariants_via_betti,
     invariants_via_gin,
@@ -205,6 +206,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
             notes.append("%s method failed: %s" % (name, failures[-1]))
 
     try:
+        _check_bound(args.bound)  # refused on every route, the oracle's too
         document = parse_input(text)
         ring = document.ring
         monomial = _as_monomial_ideal(document)

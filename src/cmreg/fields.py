@@ -3,11 +3,12 @@
 A value of QQ is a fractions.Fraction; a value of GF(p) is a plain int in
 [0, p), and polynomial arithmetic reduces mod p when the characteristic is
 nonzero.  `field(num, den)` is the way in for both fields, and every
-division goes through it; `field.integers` gives values in integer form.
+division goes through it; `field.integers` gives values in integer form,
+and `normalized` the one canonical integer multiple of a vector.
 """
 
 from fractions import Fraction as _mpq  # the name --version and perfbench's stamp read
-from math import lcm
+from math import gcd, lcm
 
 from .monomial_ideals import InputError
 
@@ -41,6 +42,19 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
+
+
+def normalized(values, lead, p):
+    """The canonical multiple of the vector values, a dict {key: integer}
+    nonzero at the key lead: over QQ (p = 0) the primitive integer one with
+    a positive lead, over GF(p) the residues of the one with lead 1."""
+    if p:
+        inv = pow(values[lead], -1, p)
+        return {k: v * inv % p for k, v in values.items()}
+    content = gcd(*values.values())
+    if values[lead] < 0:
+        content = -content
+    return {k: v // content for k, v in values.items()}
 
 
 # the smallest strong pseudoprime to all the bases: Miller-Rabin with them

@@ -14,9 +14,9 @@ Buchberger and inter-reduction run on one exact integer kernel.  A
 monomial x^e is held as the tuple (-deg e, e_n, ..., e_1): multiplying
 monomials adds these tuples entry by entry, and the smallest tuple is the
 degrevlex-largest monomial.  A basis element lives only in the kernel's
-form (pattern, lead, lc, tail) from the moment it is found: over QQ the
-coefficients of its primitive integer multiple with positive lead, over
-GF(p) its residues made monic.  The S-polynomial of two elements is built
+form (pattern, lead, lc, tail) from the moment it is found, with the
+coefficients of its canonical integer multiple `fields.normalized`
+(one rule for QQ and GF(p)).  The S-polynomial of two elements is built
 from their integer tails, as lcm(lc_f, lc_g) times the field one.  The
 kernel reduces it: the terms still to reduce sit in a heap of monomial
 tuples, so each term's order key is built once, and a term that cancels
@@ -61,6 +61,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, inf
 from operator import add, itemgetter, le, neg, sub
 
+from .fields import normalized
 from .monomial_ideals import (
     InputError,
     MonomialIdeal,
@@ -119,21 +120,11 @@ def _element(lead, lc, tail):
 
 
 def _reducer(g):
-    """The nonzero polynomial g in the kernel's form.  Over QQ the
-    coefficients are those of g's primitive integer multiple with positive
-    lead; over GF(p) they are the residues of g / lc(g), so the lead
-    coefficient is 1."""
+    """The nonzero polynomial g in the kernel's form, with the coefficients
+    of its canonical integer multiple (`normalized`)."""
     lm = g.leading_monomial()
-    p = g.ring.field.characteristic
-    if p:
-        inv = pow(g.coeffs[lm], -1, p)
-        ints = {e: v * inv % p for e, v in g.coeffs.items()}
-    else:
-        ints = g.ring.field.integers(g.coeffs)[1]
-        content = gcd(*ints.values())
-        if ints[lm] < 0:
-            content = -content
-        ints = {e: v // content for e, v in ints.items()}
+    field = g.ring.field
+    ints = normalized(field.integers(g.coeffs)[1], lm, field.characteristic)
     tail = tuple((_key(e), v) for e, v in ints.items() if e != lm)
     return _element(_key(lm), ints[lm], tail)
 
@@ -217,18 +208,11 @@ def _s_work(f, g, p):
 
 def _from_remainder(remainder, scale, p):
     """The basis element of a nonzero remainder of `_reduce`: its terms
-    lifted to the final scale, made primitive with positive lead over QQ,
-    monic over GF(p)."""
+    lifted to the final scale, then `normalized`."""
     lead = remainder[0][0]
-    if p:
-        inv = pow(remainder[0][1], -1, p)
-        return _element(lead, 1, tuple((k, c * inv % p) for k, c, _ in remainder[1:]))
-    ints = [c * (scale // s) for _, c, s in remainder]
-    content = gcd(*ints)
-    if ints[0] < 0:
-        content = -content
-    tail = tuple((term[0], v // content) for term, v in zip(remainder[1:], ints[1:]))
-    return _element(lead, ints[0] // content, tail)
+    ints = normalized({k: c * (scale // s) for k, c, s in remainder}, lead, p)
+    lc = ints.pop(lead)
+    return _element(lead, lc, tuple(ints.items()))
 
 
 def _monic(ring, lead, terms):

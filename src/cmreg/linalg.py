@@ -4,6 +4,8 @@ integer rows held as {column: value}.  No floating point anywhere.
 
 from math import gcd
 
+from .fields import normalized
+
 
 def rank(rows, characteristic):
     """Rank of a sparse integer matrix over QQ (characteristic 0) or GF(p)."""
@@ -29,9 +31,9 @@ def _eliminate(rows, p):
     A row is reduced at its smallest column by the pivot row stored for that
     column, until it is zero or becomes the pivot row of a new column.  A
     step r <- a*r - c*pivot, with a and c divided by their gcd, stays on
-    integers.  Over GF(p) values are residues and pivot rows are monic;
-    over QQ pivot rows are primitive with a positive lead.  So a = 1
-    whenever the pivot's lead is 1, and the row is updated in place.
+    integers.  Over GF(p) values are residues, and a pivot row is the
+    canonical multiple of its row, `fields.normalized`.  So a = 1 whenever
+    the pivot's lead is 1, and the row is updated in place.
     """
     pivots = {}
     for row in rows:
@@ -40,14 +42,7 @@ def _eliminate(rows, p):
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                if p:
-                    inv = pow(row[col], -1, p)
-                    pivots[col] = {j: v * inv % p for j, v in row.items()}
-                else:
-                    content = gcd(*row.values())
-                    if row[col] < 0:
-                        content = -content
-                    pivots[col] = {j: v // content for j, v in row.items()}
+                pivots[col] = normalized(row, col, p)
                 break
             h = gcd(pivot[col], row[col])
             a, c = pivot[col] // h, row[col] // h

@@ -270,11 +270,9 @@ def quotient_top_degree(J_sub, J_sup):
     diff = _psub(hilbert_numerator(J_sub), hilbert_numerator(J_sup))
     if not diff:
         return NEG_INF
-    for _ in range(J_sub.n):
-        diff = divide_by_one_minus_t(diff)
-        if diff is None:
-            return POS_INF
-    return poly_degree(diff)
+    # the quotient's series is diff / (1-t)^n = q (1-t)^(k-n)
+    k, q = _one_minus_t_power(diff)
+    return POS_INF if k < J_sub.n else poly_degree(q) + k - J_sub.n
 
 
 def krull_dimension(J):
@@ -326,14 +324,18 @@ def _binom_poly(a, k):
     return num // factorial(k)
 
 
+def _series_sum(num, n, m):
+    """sum_j c_j binomial(m - j + n - 1, n - 1) over the terms c_j t^j of
+    num, each binomial as a polynomial in m."""
+    return sum(c * _binom_poly(m - j + n - 1, n - 1) for j, c in enumerate(num))
+
+
 def hilbert_function_from_numerator(num, n, m):
     """The coefficient of t^m in num(t)/(1-t)^n: for the Hilbert numerator
     of a monomial ideal J in n variables, dim of the degree-m piece of S/J."""
     if m < 0:
         return 0
-    return sum(
-        c * _binom_poly(m - j + n - 1, n - 1) for j, c in enumerate(num[: m + 1])
-    )
+    return _series_sum(num[: m + 1], n, m)
 
 
 def hilbert_function(J, m):
@@ -342,14 +344,10 @@ def hilbert_function(J, m):
 
 
 def hilbert_polynomial_value(J, m):
-    """Value at m of the Hilbert polynomial of S/J."""
-    # strip the full power of (1-t): N = (1-t)^(n-d) * reduced numerator
-    k, reduced = _one_minus_t_power(hilbert_numerator(J))
-    d = J.n - k
-    if d <= 0 or not reduced:
-        return 0
-    total = 0
-    for j, c in enumerate(reduced):
-        total += c * _binom_poly(m - j + d - 1, d - 1)
-    return total
+    """Value at m of the Hilbert polynomial of S/J: the series sum over the
+    whole numerator.  A factor (1-t) of the numerator acts on the binomials
+    as the difference f(m) - f(m-1), which takes binomial(m + e, e) to
+    binomial(m + e - 1, e - 1) and the constant 1 to 0; so no power of
+    (1-t) needs stripping, and a quotient of dimension 0 gets 0."""
+    return _series_sum(hilbert_numerator(J), J.n, m)
 

@@ -1,10 +1,15 @@
-"""Coefficient fields: the representation of GF(p) values and the primality
-check that guards PrimeField."""
+"""Coefficient fields: the representation of GF(p) values, the primality
+check that guards PrimeField, and the canonical integer multiple of a
+vector."""
+
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmreg import PrimeField, apply_linear_change, normal_form, parse_input, s_polynomial
-from cmreg.fields import FieldError
+from cmreg.fields import FieldError, normalized
 
 # coefficients below 0 and at least p, and terms whose sums and products
 # leave [0, p) unless reduced
@@ -65,3 +70,32 @@ def test_prime_field_refuses_strong_pseudoprimes(n):
 def test_prime_field_accepts_large_primes():
     assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
     assert PrimeField(41).characteristic == 41
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from([0, 2, 32003]),
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=6),
+    st.data(),
+    st.integers(-(10**6), 10**6),
+)
+def test_normalized_is_the_same_for_every_unit_multiple(p, entries, data, unit):
+    # over QQ (p = 0) the units are the nonzero integers, over GF(p) the
+    # integers prime to p; the lead must be a unit too
+    values = dict(enumerate(entries))
+    lead = data.draw(st.integers(0, len(entries) - 1))
+    assume(values[lead] % p if p else values[lead])
+    assume(unit % p if p else unit)
+    result = normalized(values, lead, p)
+    assert normalized({k: unit * v for k, v in values.items()}, lead, p) == result
+    assert result.keys() == values.keys()
+    # a multiple of the vector: every 2 x 2 minor vanishes
+    for k, v in values.items():
+        minor = result[k] * values[lead] - v * result[lead]
+        assert (minor % p if p else minor) == 0
+    if p:
+        assert result[lead] == 1
+        assert all(0 <= v < p for v in result.values())
+    else:
+        assert result[lead] > 0
+        assert gcd(*result.values()) == 1

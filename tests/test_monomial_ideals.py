@@ -205,6 +205,18 @@ class TestQuotientTopDegree:
         sup = MonomialIdeal.from_generators(R2, [(1, 0)])
         assert quotient_top_degree(sub, sup) == POS_INF
 
+    # the numerators differ by (1-t)^k q with k = 0 and 2 below n = 3;
+    # test_infinite_quotient has k = 1 below n = 2
+    @pytest.mark.parametrize(
+        "sub, sup",
+        [([], [(1, 0, 0)]), ([(2, 0, 0), (0, 2, 0)], [(1, 0, 0), (0, 1, 0)])],
+        ids=["k0", "k2"],
+    )
+    def test_infinite_quotient_with_fewer_factors_than_variables(self, R3, sub, sup):
+        sub = MonomialIdeal.from_generators(R3, sub)
+        sup = MonomialIdeal.from_generators(R3, sup)
+        assert quotient_top_degree(sub, sup) == POS_INF
+
     def test_containment_enforced(self, R2):
         A = MonomialIdeal.from_generators(R2, [(1, 0)])
         B = MonomialIdeal.from_generators(R2, [(0, 1)])
@@ -353,6 +365,16 @@ class TestHilbertFunctionAndPolynomial:
             value = hilbert_polynomial_value(J, m)
             assert type(value) is int
             assert value == (m + 1) ** 2
+
+    # S/(x^2, y^3) has finite length and S/S is zero: the numerator is
+    # (1-t)^2 times a polynomial, or zero, and the Hilbert polynomial is 0
+    @pytest.mark.parametrize(
+        "gens", [[(2, 0), (0, 3)], [(0, 0)]], ids=["zero-dimensional", "unit"]
+    )
+    def test_polynomial_of_a_finite_quotient_is_zero(self, R2, gens):
+        J = MonomialIdeal.from_generators(R2, gens)
+        for m in range(-5, 11):
+            assert hilbert_polynomial_value(J, m) == 0
 
     def test_divide_by_one_minus_t(self):
         assert divide_by_one_minus_t([1, -2, 1]) == [1, -1]

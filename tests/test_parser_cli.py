@@ -667,8 +667,9 @@ class TestRefusals:
         err = self.refused(tmp_path, text, ["--method", "c"])
         assert str(p) in err
 
-    # x*y, y^2 needs a coordinate retry, so both routes draw a matrix
-    @pytest.mark.parametrize("method", ["c", "gin"])
+    # refused before any route runs, so also on the oracle, which draws no
+    # matrix, and on x*y, y^2, where the c route would need a retry
+    @pytest.mark.parametrize("method", ["c", "gin", "oracle"])
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_one(self, tmp_path, method, bound):
         text = "ring: x y\nfield: QQ\nideal:\nx*y\ny^2\n"
