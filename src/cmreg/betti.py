@@ -72,16 +72,52 @@ def _boundary_matrix(lower, upper):
     ]
 
 
+def _components(vertices, edges):
+    """The number of connected components of the graph on `vertices` (faces
+    (v,)) with `edges` (faces (u, v)), by a union-find."""
+    root = {v: v for (v,) in vertices}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = len(root)
+    for u, v in edges:
+        u, v = find(u), find(v)
+        if u != v:
+            root[u] = v
+            count -= 1
+    return count
+
+
 def reduced_homology_ranks(by_dim, field_char=0):
     """Reduced homology ranks of a simplicial complex given by its faces
     level by level (level k holds the faces with k vertices, so level 0 is
     the empty face): the list of H~_{k-1} for k = 0 .. len(by_dim) - 1,
     starting at H~_{-1}, which is 1 for {empty face} and 0 otherwise.
-    The void complex [] has no homology, and gives []."""
+    The void complex [] has no homology, and gives [].
+
+    The two lowest boundary ranks are counted, not eliminated, and both
+    counts hold over every field:
+      rank d_1 = 1 if there is a vertex, else 0: d_1 sends every vertex to
+        the empty face with coefficient 1;
+      rank d_2 = V - c, for V vertices and c connected components of the
+        1-skeleton: the transpose of d_2 sends a function f on the vertices
+        to the function f(v) - f(u) on the edges uv, so its kernel is the
+        functions constant on each component, of dimension c in every
+        characteristic.
+    Every higher boundary rank is computed by `linalg.rank`.
+    """
     counts = [len(level) for level in by_dim]
     # boundary_ranks[k] = rank of the boundary map from level k to level k-1
     boundary_ranks = [0] * (len(by_dim) + 1)
-    for k in range(1, len(by_dim)):
+    if len(by_dim) > 1:  # then some face, so level 1, has a vertex
+        boundary_ranks[1] = 1
+    if len(by_dim) > 2:
+        boundary_ranks[2] = counts[1] - _components(by_dim[1], by_dim[2])
+    for k in range(3, len(by_dim)):
         boundary_ranks[k] = rank(_boundary_matrix(by_dim[k - 1], by_dim[k]), field_char)
     # H~_{k-1} = ker - im at level k
     return [counts[k] - boundary_ranks[k] - boundary_ranks[k + 1] for k in range(len(by_dim))]

@@ -38,7 +38,7 @@ from .monomial_ideals import (
     krull_dimension,
     quotient_top_degree,
 )
-from .rings import apply_linear_change, matrix_is_invertible
+from .rings import _check_change, _substitute, matrix_is_invertible
 
 RETRY_CAP = 5  # random coordinate changes before the c route gives up
 RETRY_ENTRY_BOUND = 3  # entry bound of the c route's unitriangular retries
@@ -217,12 +217,14 @@ def random_unitriangular_matrix(rng, n):
 
 def transform_ideal(I, rows):
     """Apply an invertible linear change of coordinates to every generator
-    of an Ideal or a MonomialIdeal."""
+    of an Ideal or a MonomialIdeal; the matrix is tested once for all of
+    them."""
+    _check_change(I.ring, rows)
     if isinstance(I, MonomialIdeal):
         gens = [I.ring.monomial(g) for g in I.gens]
     else:
         gens = I.generators
-    return Ideal(I.ring, [apply_linear_change(g, rows) for g in gens])
+    return Ideal(I.ring, [_substitute(g, rows) for g in gens])
 
 
 def full_invariants(I, use_generic=True, seed=0, t=None, bound=DENSE_ENTRY_BOUND):

@@ -6,7 +6,6 @@ exponent tuples to nonzero coefficients, exposed as a term list sorted
 descending in degrevlex.
 """
 
-from functools import lru_cache
 from operator import add
 
 from .fields import QQ
@@ -228,36 +227,39 @@ class Polynomial:
 
 
 def matrix_is_invertible(field, rows):
-    """Exact invertibility test of a square integer matrix over the field.
-
-    The answers for the last few matrices are kept, so that a coordinate
-    change drawn by `random_invertible_matrix` and then applied to every
-    generator of an ideal costs one rank computation.
-    """
+    """Exact invertibility test of a square integer matrix over the field."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    return _full_rank(field.characteristic, tuple(map(tuple, rows)))
-
-
-@lru_cache(maxsize=8)
-def _full_rank(characteristic, rows):
-    return rank([dict(enumerate(row)) for row in rows], characteristic) == len(rows)
+    return rank([dict(enumerate(row)) for row in rows], field.characteristic) == n
 
 
 def apply_linear_change(f, rows):
     """Substitute x_j -> (row j of the matrix) . (x_1, ..., x_n).
 
     The matrix must be invertible over the coefficient field; degree and
-    homogeneity are preserved.  The expansion runs on f's coefficients in
-    the field's integer form; each result enters the field once, at the end.
+    homogeneity are preserved.
     """
-    ring = f.ring
+    _check_change(f.ring, rows)
+    return _substitute(f, rows)
+
+
+def _check_change(ring, rows):
+    """Refuse a matrix that is not n x n, or not invertible over the field."""
     n = ring.n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("matrix must be %d x %d" % (n, n))
     if not matrix_is_invertible(ring.field, rows):
         raise InputError("singular change of coordinates")
+
+
+def _substitute(f, rows):
+    """apply_linear_change with no test of the matrix, for a caller that has
+    made `_check_change` once for all its polynomials.  The expansion runs on
+    f's coefficients in the field's integer form; each result enters the
+    field once, at the end."""
+    ring = f.ring
+    n = ring.n
     den, ints = ring.field.integers(f.coeffs)
     # powers[i][e] = (image of x_i)^e, for the exponents e > 0 f uses
     powers = [

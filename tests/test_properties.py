@@ -1,7 +1,10 @@
 """Property tests on random monomial ideals over QQ: the c route against
 the Betti oracle at every cutoff t, and reg and a* under a change of
 coordinates; on random monomial ideals over QQ and GF(2): the upper Koszul
-complex read off its facets against its definition; on integer
+complex read off its facets against its definition; on random facet
+sets over at most 7 vertices, over QQ, GF(2) and GF(3): reduced homology
+with its two lowest boundary ranks counted against elimination at every
+level; on integer
 polynomials: reducing mod p commutes with the ring operations; and on
 sparse integer matrices over QQ and GF(p): the elimination kernel's rank
 against a dense elimination; on random homogeneous ideals over QQ, GF(2)
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cmreg.regularity
@@ -41,7 +44,12 @@ from cmreg import (
     reduced_groebner_basis,
     s_polynomial,
 )
-from cmreg.betti import lcm_multidegrees, upper_koszul_complex
+from cmreg.betti import (
+    _boundary_matrix,
+    lcm_multidegrees,
+    reduced_homology_ranks,
+    upper_koszul_complex,
+)
 from cmreg.groebner import _leading_ideal, buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.monomial_ideals import (
@@ -136,6 +144,47 @@ def test_upper_koszul_complex_is_its_definition(case):
     J, bs = case
     for b in bs:
         assert upper_koszul_complex(J, b) == koszul_by_definition(J, b)
+
+
+# the 6-vertex real projective plane: H~_1 = H~_2 = 1 over GF(2), and no
+# homology over QQ or GF(3)
+RP2_FACETS = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+
+def levels_of(facets):
+    """A simplicial complex given by its facets, as its levels by size, the
+    way upper_koszul_complex gives them; no facet gives the void complex []."""
+    return [
+        sorted({face for facet in facets for face in combinations(sorted(facet), k)})
+        for k in range(max(map(len, facets), default=-1) + 1)
+    ]
+
+
+def homology_by_elimination(levels, p):
+    """H~_{k-1} for every level k, with every boundary rank eliminated."""
+    ranks = [0] * (len(levels) + 1)
+    for k in range(1, len(levels)):
+        ranks[k] = rank(_boundary_matrix(levels[k - 1], levels[k]), p)
+    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=8))
+@example(RP2_FACETS)
+@example([])  # the void complex
+@example([()])  # {empty face}
+@example([(0,), (3,), (6,)])  # isolated vertices
+@example([(0, 1, 2), (2, 3), (4, 5), (6,)])  # three components
+def test_counted_low_ranks_are_the_eliminated_ones(facets):
+    levels = levels_of(facets)
+    for p in (0, 2, 3):
+        assert reduced_homology_ranks(levels, p) == homology_by_elimination(levels, p)
+    if facets == RP2_FACETS:
+        assert reduced_homology_ranks(levels, 0) == reduced_homology_ranks(levels, 3) == [0, 0, 0, 0]
+        assert reduced_homology_ranks(levels, 2) == [0, 0, 1, 1]
 
 
 NAMES = ["x", "y", "z"]

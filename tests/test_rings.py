@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmreg import PolynomialRing, PrimeField, QQ, apply_linear_change
+from cmreg import Ideal, PolynomialRing, PrimeField, QQ, apply_linear_change
 from cmreg.orders import (
     degrevlex_key,
     m_index,
@@ -159,6 +159,8 @@ class TestLinearChange:
         x1, _ = R2.gens()
         with pytest.raises(ValueError):
             apply_linear_change(x1, [[1, 1], [2, 2]])
+        with pytest.raises(ValueError):
+            transform_ideal(Ideal(R2, [x1]), [[1, 1], [2, 2]])
 
     def test_degree_and_homogeneity_preserved(self, R3):
         x1, x2, x3 = R3.gens()
@@ -185,8 +187,9 @@ class TestLinearChange:
                 assert lhs == apply_linear_change(f, gh)
 
     def test_one_rank_per_coordinate_change(self, monkeypatch, curve_ideal):
-        # random_invertible_matrix tests its draw, and transform_ideal
-        # applies it to 4 generators: only the first test computes a rank
+        # transform_ideal tests its matrix once, then applies it to the
+        # curve's 4 generators with no further test
+        m = random_invertible_matrix(random.Random(3), 4, QQ)
         ranks = []
 
         def counted(rows, characteristic):
@@ -194,11 +197,9 @@ class TestLinearChange:
             return rank(rows, characteristic)
 
         monkeypatch.setattr(cmreg.rings, "rank", counted)
-        cmreg.rings._full_rank.cache_clear()
-        m = random_invertible_matrix(random.Random(3), 4, QQ)
         transform_ideal(curve_ideal, m)
         assert len(ranks) == 1
-        # the cache is keyed by the characteristic too
+        # the same matrix can be invertible over one field and not another
         assert matrix_is_invertible(PrimeField(2), [[1, 1], [1, 0]])
         assert not matrix_is_invertible(PrimeField(2), [[1, 1], [1, 1]])
         assert not matrix_is_invertible(QQ, [[2, 2], [1, 1]])
