@@ -22,10 +22,10 @@ from .monomial_ideals import (
     hilbert_numerator,
     is_borel_fixed,
     krull_dimension,
-    m_index,
     minimalize,
     quotient_top_degree,
 )
+from .orders import m_index
 from .parser import InputDocument, ParseError, parse_input
 from .regularity import (
     CharacteristicError,

@@ -5,10 +5,10 @@
                   [--json] [--betti]
 
 Exit codes: 0 success, 1 mathematical failure (filter-regularity failure,
-method disagreement, Gin agreement failure), 2 input error (syntax,
-undeclared variables, wrong field for the method, t outside [0, n], the
-unit ideal, an oracle input beyond its scope under --method oracle,
---bound below 1).
+method disagreement, Gin agreement failure), 2 input error (a file that
+is not UTF-8, syntax, undeclared variables, wrong field for the method, t
+outside [0, n], the unit ideal, an oracle input beyond its scope under
+--method oracle, --bound below 1).
 
 Every route reads in(I) through `regularity`; --betti runs the oracle on
 every input.  A route that refuses the input is skipped with a note unless
@@ -184,7 +184,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=err)
         return EXIT_INPUT
 

@@ -10,7 +10,7 @@ conventions -inf < k < +inf and -inf + k = -inf come for free.
 
 from math import factorial
 
-from .orders import m_index, mono_divides
+from .orders import mono_divides
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -27,29 +27,6 @@ class CharacteristicError(InputError):
 
 class MathematicalFailure(RuntimeError):
     """A route could not certify an answer for a valid input."""
-
-
-__all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "InputError",
-    "CharacteristicError",
-    "MathematicalFailure",
-    "MonomialIdeal",
-    "minimalize",
-    "exponent_vector",
-    "hilbert_numerator",
-    "colon_step",
-    "complete_intersection_numerator",
-    "quotient_top_degree",
-    "krull_dimension",
-    "is_borel_fixed",
-    "m_index",
-    "divide_by_one_minus_t",
-    "hilbert_function",
-    "hilbert_function_from_numerator",
-    "hilbert_polynomial_value",
-]
 
 
 def exponent_vector(exps, n):
@@ -178,41 +155,27 @@ def divide_by_one_minus_t(p):
 
 
 def hilbert_numerator(J):
-    """Coefficients of N(t) with HS(S/J) = N(t)/(1-t)^n.
+    """Coefficients of N(t) with HS(S/J) = N(t)/(1-t)^n, by `_numerator`.
 
-    Pivot recursion N(J) = N(J + (p)) + t^k N(J : p) on a power p = x_i^k
-    of a most-frequent variable (Bigatti's pivot), with memoization on the
-    minimal generator sets.  Taking k as the least positive exponent of x_i
-    in a mixed generator keeps the depth independent of the exponents.
     The result is kept on J, so it is computed once per ideal; an in(g I)
     found by Buchberger with a Hilbert target arrives with it kept.
     """
     if J._hilbert is None:
-        J._hilbert = tuple(_scratch_numerator(J.gens))
+        J._hilbert = tuple(_numerator(J.gens))
     return list(J._hilbert)
 
 
-def _scratch_numerator(gens):
-    """N(t) of the monomial ideal with minimal generators gens, computed
-    from nothing by the pivot recursion."""
-    memo = {}
-
-    def recurse(gens):
-        key = frozenset(gens)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _numerator(gens, recurse)
-        return hit
-
-    return recurse(tuple(gens))
+def _colon(gens, m):
+    """Minimal generators of L : m for L spanned by the monomials gens,
+    minimal or not: the max(g - m, 0)."""
+    return minimalize([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens])
 
 
 def colon_step(num, gens, m):
     """N(L + (m)) = N(L) - t^{deg m} N(L : m) from num = N(L), for L spanned
-    by the monomials gens, minimal or not, and a monomial m; L : m is
-    spanned by the max(g - m, 0) (Bigatti, JPAA 119, 1997)."""
-    colon = minimalize([tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens])
-    return _psub(num, _pshift(_scratch_numerator(colon), sum(m)))
+    by the monomials gens, minimal or not, and a monomial m (Bigatti, JPAA
+    119, 1997)."""
+    return _psub(num, _pshift(_numerator(_colon(gens, m)), sum(m)))
 
 
 def complete_intersection_numerator(degrees):
@@ -227,30 +190,26 @@ def complete_intersection_numerator(degrees):
     return out
 
 
-def _numerator(gens, recurse):
-    if not gens:
-        return [1]
-    if any(not any(g) for g in gens):
-        return []  # unit ideal
-    if len(gens) == 1:
-        n_t = [1]
-        return _psub(n_t, _pshift([1], sum(gens[0])))
-    nvars = len(gens[0])
-    # pure-power base case: every generator involves a single variable
-    if all(sum(1 for e in g if e > 0) == 1 for g in gens):
+def _numerator(gens):
+    """N(t) of the monomial ideal with minimal generators gens.
+
+    Pivot recursion N(J) = N(J + (p)) + t^k N(J : p) on a power p = x_i^k
+    of a most-frequent variable (Bigatti's pivot).  Taking k as the least
+    positive exponent of x_i in a mixed generator keeps the depth
+    independent of the exponents.
+    """
+    mixed = [g for g in gens if sum(1 for e in g if e > 0) >= 2]
+    if not mixed:  # (0), the unit ideal, or powers of distinct variables
         return complete_intersection_numerator(sum(g) for g in gens)
     # pivot among variables of mixed generators only, so both branches shrink
-    mixed = [g for g in gens if sum(1 for e in g if e > 0) >= 2]
+    nvars = len(gens[0])
     mixed_support = {i for g in mixed for i in range(nvars) if g[i] > 0}
     counts = {i: sum(1 for g in gens if g[i] > 0) for i in mixed_support}
     pivot = max(mixed_support, key=lambda i: (counts[i], -i))
     k = min(g[pivot] for g in mixed if g[pivot] > 0)
     p = tuple(k if i == pivot else 0 for i in range(nvars))
     plus = minimalize([g for g in gens if g[pivot] < k] + [p])
-    colon = minimalize(
-        [g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in gens]
-    )
-    return _padd(recurse(tuple(plus)), _pshift(recurse(tuple(colon)), k))
+    return _padd(_numerator(plus), _pshift(_numerator(_colon(gens, p)), k))
 
 
 def quotient_top_degree(J_sub, J_sup):

@@ -6,18 +6,20 @@ c-invariants are defined for it: compare by total degree first, ties
 broken by the LAST nonzero entry of the difference being negative.
 """
 
+from operator import le, neg
+
 
 def degrevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def mono_divides(a, b):
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def m_index(a):

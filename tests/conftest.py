@@ -6,6 +6,7 @@ import random
 import pytest
 
 import cmreg.groebner
+import cmreg.monomial_ideals
 from cmreg import NEG_INF, GinResult, Ideal, MonomialIdeal, PolynomialRing, m_index
 from cmreg.monomial_ideals import minimalize
 
@@ -207,3 +208,24 @@ def spy_on_the_kernel(monkeypatch):
 
     monkeypatch.setattr(cmreg.groebner, "_reduce", counted)
     return results
+
+
+def spy_on_numerators(monkeypatch):
+    """Record the generators of each numerator computed from generators:
+    every top-level call of `monomial_ideals._numerator`, not the calls the
+    recursion makes on itself."""
+    computed = []
+    depth = [0]
+    original = cmreg.monomial_ideals._numerator
+
+    def spied(gens):
+        if not depth[0]:
+            computed.append(gens)
+        depth[0] += 1
+        try:
+            return original(gens)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cmreg.monomial_ideals, "_numerator", spied)
+    return computed

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmreg import PrimeField, apply_linear_change, normal_form, parse_input, s_polynomial
+from cmreg import QQ, PrimeField, apply_linear_change, normal_form, parse_input, s_polynomial
 from cmreg.fields import FieldError, normalized
 
 # coefficients below 0 and at least p, and terms whose sums and products
@@ -27,6 +27,16 @@ def assert_residues(f):
     assert not f.is_zero()
     for c in f.coeffs.values():
         assert type(c) is int and 0 <= c < p, (c, f)
+
+
+@pytest.mark.parametrize(
+    "field,message", [(QQ, "zero denominator"), (PrimeField(7), "zero denominator in GF(7)")]
+)
+def test_a_zero_denominator_is_refused(field, message):
+    # QQ(1, 0) and GF(7)(1, 7)
+    with pytest.raises(FieldError) as exc:
+        field(1, field.characteristic)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("p", [2, 32003])

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import cmreg.monomial_ideals
 import cmreg.regularity
 from cmreg import (
     NEG_INF,
@@ -32,6 +31,7 @@ from conftest import (
     random_monomial_ideal,
     randomized_pivot_numerator,
     series_truncation,
+    spy_on_numerators,
     standard_monomials,
 )
 
@@ -179,14 +179,7 @@ class TestQuotientTopDegree:
     def test_equal_ideals_compute_no_numerator(self, monkeypatch, curve_initial):
         # two distinct ideals with equal generators, neither with a kept
         # numerator: the quotient is zero without a numerator of either
-        computed = []
-        original = cmreg.monomial_ideals._scratch_numerator
-
-        def spied(gens):
-            computed.append(gens)
-            return original(gens)
-
-        monkeypatch.setattr(cmreg.monomial_ideals, "_scratch_numerator", spied)
+        computed = spy_on_numerators(monkeypatch)
         sub, sup = (MonomialIdeal(curve_initial.ring, curve_initial.gens) for _ in range(2))
         assert quotient_top_degree(sub, sup) == NEG_INF
         assert computed == [] and sub._hilbert is None and sup._hilbert is None

@@ -156,6 +156,10 @@ class TestParser:
             ("ring: x y\nfield: GF(7\nideal:\n", "line 2: unknown field"),
             ("ring: x y\nfield: GF7)\nideal:\n", "line 2: unknown field"),
             ("ring: x y\nfield: GF((7)\nideal:\n", "line 2: unknown field"),
+            ("ring: x y\n", "line 1: expected 'field:' declaration"),
+            ("ring:\nfield: QQ\nideal:\n", "line 1: no variables declared"),
+            ("ring: x 1y\nfield: QQ\nideal:\n", "line 1: bad variable name '1y'"),
+            ("ring: x y\nfield: QQ\nideal: x\n", "line 3: expected 'ideal:' section"),
         ],
     )
     def test_structural_errors(self, text, fragment):
@@ -393,6 +397,21 @@ class TestCli:
         for key in ("reg_t_quotient", "astar_t_quotient", "max_generator_degree"):
             assert "  %s: %s" % (key, rep[key]) in out.splitlines()
 
+    def test_all_exits_1_when_the_methods_disagree(self, tmp_path, monkeypatch):
+        # the oracle answers for (x1^3, x2^3) in place of the input (x1^2, x2^2)
+        p = tmp_path / "squares.ideal"
+        p.write_text("ring: x1 x2\nfield: QQ\nideal:\nx1^2\nx2^2\n")
+        cubes = MonomialIdeal.from_generators(PolynomialRing(["x1", "x2"]), [(3, 0), (0, 3)])
+        original = cmreg.cli.invariants_via_betti
+        monkeypatch.setattr(cmreg.cli, "invariants_via_betti", lambda ideal, t: original(cubes, t))
+        code, out, err = run_cli(["compute", "--input", str(p), "--method", "all", "--json"])
+        assert code == EXIT_MATH
+        doc = json.loads(out)
+        assert set(doc["methods"]) == {"c", "gin", "oracle"}
+        assert doc["methods_agree"] is False
+        assert doc["method_disagreements"] == ["gin=(2, 2) vs oracle=(4, 4)"]
+        assert err == "mathematical failure: methods disagree: ['gin=(2, 2) vs oracle=(4, 4)']\n"
+
     def test_monomial_all_methods(self, tmp_path):
         p = tmp_path / "m.ideal"
         p.write_text(MONOMIAL_FILE)
@@ -406,6 +425,14 @@ class TestCli:
         code, _, err = run_cli(["compute", "--input", "/nonexistent.ideal"])
         assert code == EXIT_INPUT
         assert "error" in err
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "latin1.ideal"
+        p.write_bytes(b"ring: x y\nfield: QQ\nideal:\nx\xff\n")
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_parse_error_exit(self, tmp_path):
         p = tmp_path / "bad.ideal"

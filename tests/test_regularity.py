@@ -6,13 +6,13 @@ import random
 import pytest
 
 import cmreg.groebner
-import cmreg.monomial_ideals
 import cmreg.regularity
 from cmreg import (
     NEG_INF,
     POS_INF,
     CharacteristicError,
     FilterRegularityFailure,
+    GinAgreementError,
     Ideal,
     InputError,
     MathematicalFailure,
@@ -29,6 +29,7 @@ from cmreg import (
     invariants_via_gin,
 )
 from cmreg.regularity import (
+    DRAW_CAP,
     RETRY_CAP,
     invariants_from_c,
     random_invertible_matrix,
@@ -41,6 +42,7 @@ from conftest import (
     non_borel_draw,
     random_homogeneous_ideal,
     random_monomial_ideal,
+    spy_on_numerators,
     spy_on_the_kernel,
 )
 
@@ -192,14 +194,7 @@ class TestFullInvariants:
         # krull_dimension, c_0 and the retry's Hilbert target all read the
         # numerator of J0 = in(I), here the d = 20 d-family itself; it is
         # kept on J0, not on its generators, so an equal ideal computes its own
-        computed = []
-        original = cmreg.monomial_ideals._numerator
-
-        def spied(gens, recurse):
-            computed.append(gens)
-            return original(gens, recurse)
-
-        monkeypatch.setattr(cmreg.monomial_ideals, "_numerator", spied)
+        computed = spy_on_numerators(monkeypatch)
         R = PolynomialRing(["x", "y", "z"])
         gens = [(20, 20, 0), (0, 20, 20), (20, 0, 20)]
         J0 = MonomialIdeal.from_generators(R, gens)
@@ -336,6 +331,20 @@ class TestGin:
         I = Ideal(R, [R.variable(0) * R.variable(0)])
         with pytest.raises(CharacteristicError):
             generic_initial_ideal(I)
+
+    def test_draws_that_never_agree_fail_the_route(self, R2, monkeypatch):
+        # every draw finds the same (x1^2, x1*x2, x2^3), but none is accepted
+        # unless it is Borel-fixed
+        monkeypatch.setattr(cmreg.regularity, "is_borel_fixed", lambda J: False)
+        I = MonomialIdeal.from_generators(R2, [(2, 0), (0, 2)])
+        with pytest.raises(GinAgreementError) as exc:
+            generic_initial_ideal(I, seed=0)
+        gin = MonomialIdeal.from_generators(R2, [(2, 0), (1, 1), (0, 3)])
+        assert (exc.value.draws, exc.value.candidates) == (DRAW_CAP, [gin])
+        assert str(exc.value) == (
+            "no two of %d random draws agreed on a Borel-fixed initial ideal; "
+            "candidates: [%r]" % (DRAW_CAP, gin)
+        )
 
     def test_gin_route_matches_c_route(self, curve_ideal):
         rep = invariants_via_gin(curve_ideal, t=2)
@@ -484,20 +493,13 @@ class TestDegreeBoundTarget:
     def test_the_c_route_computes_the_numerator_of_in_i_only_in_buchberger(self, monkeypatch):
         # Buchberger's colon steps leave N(in(I)) on in(I), so neither
         # krull_dimension nor c_0 computes it again from the generators
-        computed = []
-        original = cmreg.monomial_ideals._scratch_numerator
-
-        def spied(gens):
-            computed.append(frozenset(gens))
-            return original(gens)
-
-        monkeypatch.setattr(cmreg.monomial_ideals, "_scratch_numerator", spied)
+        computed = spy_on_numerators(monkeypatch)
         I = self.quadrics(3)
         full_invariants(I)
         assert I._initial._hilbert == (1, 0, -3, 2)
-        assert frozenset(I._initial.gens) not in computed
+        assert frozenset(I._initial.gens) not in map(frozenset, computed)
         assert hilbert_numerator(MonomialIdeal(I.ring, I._initial.gens)) == [1, 0, -3, 2]
-        assert computed[-1] == frozenset(I._initial.gens)
+        assert frozenset(computed[-1]) == frozenset(I._initial.gens)
 
     def test_the_retry_of_the_d_family_gets_its_numerator(self, targets):
         # (x^4 y^4, y^4 z^4, x^4 z^4) is its own in(I); the retry in random

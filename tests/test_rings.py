@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmreg import Ideal, PolynomialRing, PrimeField, QQ, apply_linear_change
+from cmreg import Ideal, InputError, PolynomialRing, PrimeField, QQ, apply_linear_change
 from cmreg.orders import (
     degrevlex_key,
     m_index,
@@ -161,6 +161,15 @@ class TestLinearChange:
             apply_linear_change(x1, [[1, 1], [2, 2]])
         with pytest.raises(ValueError):
             transform_ideal(Ideal(R2, [x1]), [[1, 1], [2, 2]])
+
+    def test_change_of_the_wrong_shape_rejected(self, R2):
+        x1, _ = R2.gens()
+        with pytest.raises(InputError, match=r"^matrix must be 2 x 2$"):
+            apply_linear_change(x1, [[1, 0]])
+
+    def test_invertibility_of_a_non_square_matrix_refused(self):
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            matrix_is_invertible(QQ, [[1, 0], [0]])
 
     def test_degree_and_homogeneity_preserved(self, R3):
         x1, x2, x3 = R3.gens()
