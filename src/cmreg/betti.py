@@ -3,15 +3,20 @@ upper Koszul complexes, each read off its facets, on the lcm lattice, and
 the resolution read-offs of regularity, the a*-invariant and their partial
 versions.
 
+A face of an upper Koszul complex is an int bitmask over the variables (bit
+j for the variable of index j), and a set of minimal generators is a
+bitmask over J.gens.
+The generators that divide x^b are read off per-variable divisor masks.
+
 This is a verification oracle, deliberately restricted to desk scale
 (n <= 8, at most 20 generators).
 """
 
-from itertools import combinations
+from bisect import bisect_left, bisect_right
 
 from .linalg import rank
 from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
-from .orders import mono_divides, mono_lcm
+from .orders import mono_lcm
 
 MAX_GENERATORS = 20
 MAX_VARIABLES = 8
@@ -41,41 +46,88 @@ def lcm_multidegrees(J):
     return acc
 
 
-def upper_koszul_complex(J, b):
-    """Faces of K^b(J) = {sigma subset of supp b : x^(b - e_sigma) in J}.
+def _divisor_masks(J):
+    """For each variable x_j, a pair (exps, row): the exponents of x_j in
+    J's generators in increasing order, after a sentinel -1, and row[i] =
+    the generators g with g_j <= exps[i], as a bitmask over J.gens (0 for
+    the sentinel).  Only the exponents that occur are listed, so a large
+    exponent costs no more than a small one."""
+    masks = []
+    for j in range(J.n):
+        at = {}
+        for k, g in enumerate(J.gens):
+            at[g[j]] = at.get(g[j], 0) | 1 << k
+        exps, row = [-1], [0]
+        for e in sorted(at):
+            exps.append(e)
+            row.append(row[-1] | at[e])
+        masks.append((exps, row))
+    return masks
+
+
+def _divisors(masks, b):
+    """The generators that divide x^b, those with g_j <= b_j for every j, as
+    a bitmask over J.gens, for masks = `_divisor_masks(J)`."""
+    divides = -1  # every generator, before any variable is read
+    for (exps, row), e in zip(masks, b):
+        divides &= row[bisect_right(exps, e) - 1]
+    return divides
+
+
+def upper_koszul_complex(J, b, masks=None):
+    """Faces of K^b(J) = {sigma subset of supp b : x^(b - e_sigma) in J}, as
+    bitmasks over the variables.
 
     K^b is generated by T_g = {j : g_j < b_j} for the minimal generators g
-    dividing x^b.  Returns [] (the void complex) when there is none, and
-    otherwise faces[k], the sorted k-subsets of some T_g, for
-    k = 0 .. max |T_g| (faces[0] = [()], the empty face).
+    dividing x^b, read off masks = `_divisor_masks(J)` (computed here if
+    not given).  Returns [] (the void complex) when there is none, and
+    otherwise faces[k], the sorted k-bit submasks of some T_g, for
+    k = 0 .. max |T_g| (faces[0] = [0], the empty face).
     """
     if len(b) != J.n:
         raise InputError("multidegree from a different ring")
-    tops = [
-        [j for j, (e, bj) in enumerate(zip(g, b)) if e < bj]
-        for g in J.gens
-        if mono_divides(g, b)
-    ]
-    return [
-        sorted({face for top in tops for face in combinations(top, k)})
-        for k in range(max(map(len, tops), default=-1) + 1)
-    ]
+    if masks is None:
+        masks = _divisor_masks(J)
+    divides = _divisors(masks, b)
+    # below[j] = the generators g with g_j < b_j
+    below = [row[bisect_left(exps, e) - 1] for (exps, row), e in zip(masks, b)]
+    tops = {
+        sum(1 << j for j, gens in enumerate(below) if gens >> k & 1)
+        for k in range(len(J.gens))
+        if divides >> k & 1
+    }
+    faces = {0} if tops else set()
+    for top in tops:
+        s = top
+        while s:  # the nonempty submasks of top, from top down
+            faces.add(s)
+            s = (s - 1) & top
+    levels = [[] for _ in range(max((t.bit_count() for t in tops), default=-1) + 1)]
+    for s in sorted(faces):
+        levels[s.bit_count()].append(s)
+    return levels
 
 
 def _boundary_matrix(lower, upper):
     """Boundary matrix from faces `upper` (dim d) to `lower` (dim d-1), as
-    sparse rows {column: value}, one per face of `upper`."""
+    sparse rows {column: value}, one per face of `upper`: the k-th facet of
+    a face, with sign (-1)^k, drops its k-th lowest bit."""
     index = {f: i for i, f in enumerate(lower)}
-    return [
-        {index[face[:k] + face[k + 1 :]]: (-1) ** k for k in range(len(face))}
-        for face in upper
-    ]
+    rows = []
+    for face in upper:
+        row, sign, rest = {}, 1, face
+        while rest:
+            low = rest & -rest
+            row[index[face ^ low]] = sign
+            sign, rest = -sign, rest ^ low
+        rows.append(row)
+    return rows
 
 
 def _components(vertices, edges):
-    """The number of connected components of the graph on `vertices` (faces
-    (v,)) with `edges` (faces (u, v)), by a union-find."""
-    root = {v: v for (v,) in vertices}
+    """The number of connected components of the graph on `vertices`
+    (single-bit faces) with `edges` (two-bit faces), by a union-find."""
+    root = {v: v for v in vertices}
 
     def find(v):
         while root[v] != v:
@@ -84,8 +136,9 @@ def _components(vertices, edges):
         return v
 
     count = len(root)
-    for u, v in edges:
-        u, v = find(u), find(v)
+    for edge in edges:
+        low = edge & -edge
+        u, v = find(low), find(edge ^ low)
         if u != v:
             root[u] = v
             count -= 1
@@ -93,9 +146,9 @@ def _components(vertices, edges):
 
 
 def reduced_homology_ranks(by_dim, field_char=0):
-    """Reduced homology ranks of a simplicial complex given by its faces
-    level by level (level k holds the faces with k vertices, so level 0 is
-    the empty face): the list of H~_{k-1} for k = 0 .. len(by_dim) - 1,
+    """Reduced homology ranks of a simplicial complex given by its faces,
+    bitmasks over the vertices, level by level (level k holds the faces
+    with k vertices, so level 0 is the empty face 0): the list of H~_{k-1} for k = 0 .. len(by_dim) - 1,
     starting at H~_{-1}, which is 1 for {empty face} and 0 otherwise.
     The void complex [] has no homology, and gives [].
 
@@ -168,8 +221,9 @@ def betti_table(J, field_char=None):
         return BettiTable(entries, J.n)
     if field_char is None:
         field_char = J.ring.field.characteristic
+    masks = _divisor_masks(J)
     for b in lcm_multidegrees(J):  # refuses the unit ideal and J beyond scope
-        ranks = reduced_homology_ranks(upper_koszul_complex(J, b), field_char)
+        ranks = reduced_homology_ranks(upper_koszul_complex(J, b, masks), field_char)
         j = sum(b)
         # beta_{i,b}(S/J) = H~_{i-2}(K^b), and ranks starts at H~_{-1}
         for i, r in enumerate(ranks, 1):

@@ -36,7 +36,7 @@ from .monomial_ideals import (
     MathematicalFailure,
     MonomialIdeal,
 )
-from .parser import parse_input
+from .parser import ParseError, parse_input
 from .regularity import (
     DENSE_ENTRY_BOUND,
     FilterRegularityFailure,
@@ -176,16 +176,29 @@ def _as_monomial_ideal(document):
     return MonomialIdeal.from_generators(document.ring, gens)
 
 
+def _not_utf8(data, exc):
+    """The ParseError for the first byte of data that is not UTF-8, at its
+    line and column as parse_input counts them."""
+    # the text before the byte is valid; the "x" stands for the byte, so the
+    # last line ends at the byte's column even right after a line break
+    lines = (data[: exc.start].decode("utf-8") + "x").splitlines()
+    return ParseError("byte 0x%02x is not UTF-8" % data[exc.start], len(lines), len(lines[-1]))
+
+
 def run(argv=None, out=sys.stdout, err=sys.stderr):
     args = build_parser().parse_args(argv)
     if args.command != "compute":
         build_parser().print_help(err)
         return EXIT_INPUT
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
         print("error: %s" % exc, file=err)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print("error: %s: %s" % (args.input, _not_utf8(data, exc)), file=err)
         return EXIT_INPUT
 
     reports, notes, failures = {}, [], []

@@ -54,14 +54,14 @@ class MonomialIdeal:
     __slots__ = ("ring", "gens", "_hilbert")
 
     def __init__(self, ring, gens):
-        # gens assumed already minimal; use from_generators otherwise
         self.ring = ring
-        self.gens = tuple(sorted(gens, key=ring.key, reverse=True))
+        self.gens = tuple(sorted(minimalize(gens), key=ring.key, reverse=True))
         self._hilbert = None
 
     @classmethod
     def from_generators(cls, ring, gens):
-        return cls(ring, minimalize([exponent_vector(g, ring.n) for g in gens]))
+        """The ideal of gens, each checked to be an exponent vector of ring."""
+        return cls(ring, [exponent_vector(g, ring.n) for g in gens])
 
     @property
     def n(self):

@@ -148,7 +148,7 @@ def _initial_of(I, rows=None, drawn=None):
         return I._initial
     target = _hilbert_target(I, drawn)
     if rows is not None:
-        return _leading_ideal(transform_ideal(I, rows), target)
+        return _leading_ideal(_transformed(I, rows), target)
     J = initial_ideal(reduced_groebner_basis(I, target), I.ring)
     J._hilbert = I._hilbert
     I._initial = J
@@ -220,6 +220,13 @@ def transform_ideal(I, rows):
     of an Ideal or a MonomialIdeal; the matrix is tested once for all of
     them."""
     _check_change(I.ring, rows)
+    return _transformed(I, rows)
+
+
+def _transformed(I, rows):
+    """transform_ideal with no test of the matrix, for the routes' own
+    changes: a unitriangular retry has determinant 1 over every field, and
+    random_invertible_matrix has tested every dense draw."""
     if isinstance(I, MonomialIdeal):
         gens = [I.ring.monomial(g) for g in I.gens]
     else:

@@ -58,11 +58,12 @@ class TestUpperKoszul:
         assert upper_koszul_complex(J, (1, 0)) == []
 
     def test_two_variables_disconnected_pair(self, R2):
-        # J = (x1, x2) at b = (1,1): vertices {0} and {1} but not the edge,
-        # so H~_0 has rank 1 and beta_{2,(1,1)} = 1
+        # J = (x1, x2) at b = (1,1): vertices {0} and {1} (the bitmasks
+        # 0b01 and 0b10) but not the edge 0b11, so H~_0 has rank 1 and
+        # beta_{2,(1,1)} = 1
         J = MonomialIdeal.from_generators(R2, [(1, 0), (0, 1)])
         faces = upper_koszul_complex(J, (1, 1))
-        assert faces == [[()], [(0,), (1,)]]
+        assert faces == [[0], [0b01, 0b10]]
         assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1))) == [0, 1]
 
     def test_full_simplex_is_acyclic(self, R2):
@@ -76,12 +77,12 @@ class TestUpperKoszul:
         # complex is {empty face}, whose only homology is H~_{-1} = 1
         J = MonomialIdeal.from_generators(R3, [(1, 1, 1)])
         faces = upper_koszul_complex(J, (1, 1, 1))
-        assert faces == [[()]]
+        assert faces == [[0]]
         assert reduced_homology_ranks(upper_koszul_complex(J, (1, 1, 1))) == [1]
 
     def test_reduced_homology_of_circle(self):
         # hollow triangle: H~_{-1} = 0, H~_0 = 0, H~_1 = 1
-        faces = [[()], [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]]
+        faces = [[0], [0b001, 0b010, 0b100], [0b011, 0b101, 0b110]]
         assert reduced_homology_ranks(faces) == [0, 0, 1]
 
 

@@ -62,6 +62,15 @@ class TestMinimalize:
             J3 = MonomialIdeal.from_generators(R, J1.gens)
             assert J1 == J2 == J3
 
+    def test_constructor_minimalizes(self, R2):
+        # (x, x^2) is (x): without minimalizing, the pure-power base case of
+        # the numerator would read (1 - t)(1 - t^2) and the dimension 0
+        J = MonomialIdeal(R2, [(1, 0), (2, 0)])
+        assert J.gens == ((1, 0),)
+        assert J == MonomialIdeal.from_generators(R2, [(1, 0)])
+        assert hilbert_numerator(J) == [1, -1]
+        assert krull_dimension(J) == 1
+
 
 class TestContains:
     def test_basic(self, R2):

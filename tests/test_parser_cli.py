@@ -431,8 +431,13 @@ class TestCli:
         p.write_bytes(b"ring: x y\nfield: QQ\nideal:\nx\xff\n")
         code, out, err = run_cli(["compute", "--input", str(p)])
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: ") and "can't decode byte 0xff" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == "error: %s: line 4, column 2: byte 0xff is not UTF-8\n" % p
+        # a column counts characters, not bytes, and a CRLF file counts
+        # lines as a parsed one does
+        p.write_bytes("ring: x y\r\nfield: QQ\r\nideal:\r\n\u00e9 + \u00e9".encode() + b"\xe9\r\n")
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: %s: line 4, column 6: byte 0xe9 is not UTF-8\n" % p
 
     def test_parse_error_exit(self, tmp_path):
         p = tmp_path / "bad.ideal"

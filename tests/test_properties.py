@@ -1,6 +1,7 @@
 """Property tests on random monomial ideals over QQ: the c route against
 the Betti oracle at every cutoff t, and reg and a* under a change of
-coordinates; on random monomial ideals over QQ and GF(2): the upper Koszul
+coordinates; on random monomial ideals over QQ and GF(2): the generators
+the divisor masks select against those that divide, and the upper Koszul
 complex read off its facets against its definition; on random facet
 sets over at most 7 vertices, over QQ, GF(2) and GF(3): reduced homology
 with its two lowest boundary ranks counted against elimination at every
@@ -46,6 +47,8 @@ from cmreg import (
 )
 from cmreg.betti import (
     _boundary_matrix,
+    _divisor_masks,
+    _divisors,
     lcm_multidegrees,
     reduced_homology_ranks,
     upper_koszul_complex,
@@ -58,6 +61,7 @@ from cmreg.monomial_ideals import (
     hilbert_function,
     hilbert_function_from_numerator,
 )
+from cmreg.orders import mono_divides
 from cmreg.regularity import (
     random_invertible_matrix,
     random_unitriangular_matrix,
@@ -121,16 +125,50 @@ def ideals_and_multidegrees(draw):
     return J, bs
 
 
+@st.composite
+def ideals_and_probes(draw):
+    """A monomial ideal J and multidegrees b as in ideals_and_multidegrees,
+    and more b whose every exponent b_j is 0, some generator's g_j, one
+    above every generator's, or any of 0 to 5."""
+    J, bs = draw(ideals_and_multidegrees())
+
+    def exponent(j):
+        column = [g[j] for g in J.gens] or [0]
+        return st.one_of(
+            st.just(0), st.sampled_from(column), st.just(max(column) + 1), st.integers(0, 5)
+        )
+
+    probes = st.tuples(*[exponent(j) for j in range(J.n)])
+    return J, bs + draw(st.lists(probes, min_size=1, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ideals_and_probes())
+def test_divisor_masks_select_the_dividing_generators(case):
+    J, bs = case
+    masks = _divisor_masks(J)
+    for b in bs:
+        divides = _divisors(masks, b)
+        assert divides >> len(J.gens) == 0
+        assert [divides >> k & 1 == 1 for k in range(len(J.gens))] == [mono_divides(g, b) for g in J.gens]
+
+
+def mask_of(face):
+    """A face given by its vertices, as the bitmask over the vertices."""
+    return sum(1 << v for v in face)
+
+
 def koszul_by_definition(J, b):
     """{sigma <= supp b : x^(b - e_sigma) in J}, by testing every sigma, as
-    the list of its levels by size with the empty levels at the top cut."""
+    the list of its levels by size with the empty levels at the top cut,
+    each face a bitmask and each level sorted."""
     support = [j for j, e in enumerate(b) if e > 0]
     levels = [
-        [
-            sigma
+        sorted(
+            mask_of(sigma)
             for sigma in combinations(support, k)
             if J.contains(tuple(e - (j in sigma) for j, e in enumerate(b)))
-        ]
+        )
         for k in range(len(support) + 1)
     ]
     while levels and not levels[-1]:
@@ -155,10 +193,11 @@ RP2_FACETS = [
 
 
 def levels_of(facets):
-    """A simplicial complex given by its facets, as its levels by size, the
-    way upper_koszul_complex gives them; no facet gives the void complex []."""
+    """A simplicial complex given by its facets, as its levels by size of
+    bitmask faces, the way upper_koszul_complex gives them; no facet gives
+    the void complex []."""
     return [
-        sorted({face for facet in facets for face in combinations(sorted(facet), k)})
+        sorted({mask_of(face) for facet in facets for face in combinations(facet, k)})
         for k in range(max(map(len, facets), default=-1) + 1)
     ]
 

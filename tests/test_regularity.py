@@ -1,12 +1,16 @@
 """Regularity invariants: substitution c-invariants, partial and full
 reg / a*, generic coordinate retries, and generic initial ideals."""
 
+import io
+import json
+import os
 import random
 
 import pytest
 
 import cmreg.groebner
 import cmreg.regularity
+import cmreg.rings
 from cmreg import (
     NEG_INF,
     POS_INF,
@@ -36,7 +40,8 @@ from cmreg.regularity import (
     random_unitriangular_matrix,
     transform_ideal,
 )
-from cmreg.rings import apply_linear_change
+from cmreg.cli import run
+from cmreg.rings import apply_linear_change, matrix_is_invertible
 
 from conftest import (
     non_borel_draw,
@@ -45,6 +50,7 @@ from conftest import (
     spy_on_numerators,
     spy_on_the_kernel,
 )
+from test_golden import GOLDEN, GOLDEN_DIR
 
 
 def frf_witness(R2):
@@ -532,6 +538,25 @@ class TestRandomMatrices:
                 entries.update(row[:j])
         # below the diagonal: every integer in [-3, 3] and nothing else
         assert entries == (set(range(-3, 4)) if n > 1 else set())
+
+    def test_each_change_is_tested_only_where_it_can_fail(self, monkeypatch):
+        # on qq-retry the c route makes one unitriangular retry, of
+        # determinant 1, and Gin makes two dense draws, which
+        # random_invertible_matrix tests: one test per draw, none per retry
+        calls = []
+
+        def counted(field, rows):
+            calls.append(rows)
+            return matrix_is_invertible(field, rows)
+
+        monkeypatch.setattr(cmreg.regularity, "matrix_is_invertible", counted)
+        monkeypatch.setattr(cmreg.rings, "matrix_is_invertible", counted)
+        path = os.path.join(GOLDEN_DIR, "qq-retry.ideal")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["compute", "--input", path, "--json"] + GOLDEN["qq-retry"], out=out, err=err) == 0
+        methods = json.loads(out.getvalue())["methods"]
+        assert methods["c"]["generic_retries"] == 1
+        assert len(calls) == methods["gin"]["gin_draws_total"] == 2
 
     def test_transform_preserves_homogeneity(self, curve_ideal):
         rng = random.Random(37)
