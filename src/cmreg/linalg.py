@@ -28,9 +28,17 @@ def _eliminate(rows, p):
     """The number of pivot rows left by eliminating the rows in turn, over
     GF(p) for a prime p and over QQ for p = 0.
 
-    A row is reduced at its smallest column by the pivot row stored for that
-    column, until it is zero or becomes the pivot row of a new column.  A
-    step r <- a*r - c*pivot, with a and c divided by their gcd, stays on
+    A row is reduced at its largest column by the pivot row stored for that
+    column, until it is zero or becomes the pivot row of a new column: the
+    "lowest one" of persistent-homology reduction (Zomorodian-Carlsson,
+    2005).  In a boundary matrix of faces in bitmask order, the largest
+    column of a face is the face without its lowest vertex, so two rows
+    meet at one pivot only when they differ in that vertex and chains stay
+    short; at the smallest column, every face that shares "face without its
+    top vertex" would collide, and fill-in would grow.  The rank does not
+    depend on the column a row is reduced at.
+
+    A step r <- a*r - c*pivot, with a and c divided by their gcd, stays on
     integers.  Over GF(p) values are residues, and a pivot row is the
     canonical multiple of its row, `fields.normalized`.  So a = 1 whenever
     the pivot's lead is 1, and the row is updated in place.
@@ -39,7 +47,7 @@ def _eliminate(rows, p):
     for row in rows:
         row = {j: w for j, v in row.items() if (w := v % p if p else v)}
         while row:
-            col = min(row)
+            col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 pivots[col] = normalized(row, col, p)

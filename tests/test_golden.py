@@ -31,6 +31,10 @@ GOLDEN = {
     # three rational quadrics in six variables: the c route needs one
     # coordinate retry and Gin two draws
     "qq-retry": ALL_ROUTES,
+    # an oracle workload ideal (job mono-5 of seed 1): 8 generators in 8
+    # variables over GF(2), whose boundary matrices form long elimination
+    # chains
+    "oracle-gf2": ORACLE,
 }
 
 

@@ -5,10 +5,13 @@ the divisor masks select against those that divide, and the upper Koszul
 complex read off its facets against its definition; on random facet
 sets over at most 7 vertices, over QQ, GF(2) and GF(3): reduced homology
 with its two lowest boundary ranks counted against elimination at every
-level; on integer
-polynomials: reducing mod p commutes with the ring operations; and on
-sparse integer matrices over QQ and GF(p): the elimination kernel's rank
-against a dense elimination; on random homogeneous ideals over QQ, GF(2)
+level; on random monomial ideals in 5 to 8 variables at oracle scale, in
+characteristics 0, 2 and 3: the K-polynomial of the Betti table against
+the Hilbert numerator; on integer polynomials: reducing mod p commutes
+with the ring operations; on sparse integer matrices over QQ and GF(p),
+and on the boundary matrices of random facet sets over at most 8
+vertices over QQ, GF(2) and GF(3): the elimination kernel's rank against
+a dense elimination; on random homogeneous ideals over QQ, GF(2)
 and GF(32003): Buchberger with a Hilbert target against Buchberger
 without one; on at most n random forms over QQ, GF(2) and GF(32003):
 their degree bound prod (1 - t^{d_i}) as a Hilbert target; on random
@@ -36,6 +39,7 @@ from cmreg import (
     PolynomialRing,
     QQ,
     PrimeField,
+    betti_table,
     full_invariants,
     generic_initial_ideal,
     hilbert_numerator,
@@ -226,6 +230,48 @@ def test_counted_low_ranks_are_the_eliminated_ones(facets):
         assert reduced_homology_ranks(levels, 2) == [0, 0, 1, 1]
 
 
+def oracle_work(J):
+    """sum over the lcm lattice of 2^|supp b|: the subsets the oracle visits."""
+    return sum(2 ** sum(1 for e in b if e) for b in lcm_multidegrees(J))
+
+
+@st.composite
+def oracle_scale_ideals(draw):
+    """A monomial ideal in 5 to 8 variables over QQ with 4 to 12 drawn
+    generators of degree 2 to 4 (fewer once minimalized), whose oracle work
+    is at most 5000, so that some K^b reach level 3 and every table is
+    quick."""
+    n = draw(st.integers(5, 8))
+    support = st.lists(st.integers(0, n - 1), min_size=2, max_size=4)
+    supports = draw(st.lists(support, min_size=4, max_size=12))
+    ring = PolynomialRing(["x%d" % (i + 1) for i in range(n)])
+    J = MonomialIdeal.from_generators(ring, [tuple(s.count(i) for i in range(n)) for s in supports])
+    assume(oracle_work(J) <= 5000)
+    return J
+
+
+# the Stanley-Reisner ideal of RP^2: its 10 minimal nonfaces are the
+# triangles on its 6 vertices that are not facets
+RP2_IDEAL = MonomialIdeal.from_generators(
+    PolynomialRing(["x%d" % (i + 1) for i in range(6)]),
+    [tuple(int(v in t) for v in range(6)) for t in combinations(range(6), 3) if t not in RP2_FACETS],
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(oracle_scale_ideals())
+@example(RP2_IDEAL)
+def test_k_polynomial_is_the_hilbert_numerator_in_every_characteristic(J):
+    # sum (-1)^i beta_{i,j} t^j is the numerator of the Hilbert series,
+    # which does not depend on the field, while the Betti table may
+    tables = {p: betti_table(J, field_char=p) for p in (0, 2, 3)}
+    numerator = hilbert_numerator(J)
+    for table in tables.values():
+        assert table.k_polynomial() == numerator
+    if J is RP2_IDEAL:
+        assert tables[0].entries == tables[3].entries != tables[2].entries
+
+
 NAMES = ["x", "y", "z"]
 QQ_RING = PolynomialRing(NAMES)
 
@@ -319,6 +365,23 @@ def test_sparse_rank_is_the_dense_rank(case):
     copies = [dict(row) for row in rows]
     assert rank(rows, p) == dense_rank(rows, ncols, p)
     assert rows == copies  # the kernel works on its own copies of the rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.sets(st.integers(0, 7), max_size=6), max_size=8))
+@example(RP2_FACETS)
+def test_boundary_ranks_are_the_dense_ranks(facets):
+    # boundary matrices in the bitmask order of upper_koszul_complex, whose
+    # rows form the long pivot chains that random sparse rows do not
+    levels = levels_of(facets)
+    for k in range(1, len(levels)):
+        rows = _boundary_matrix(levels[k - 1], levels[k])
+        for p in (0, 2, 3):
+            assert rank(rows, p) == dense_rank(rows, len(levels[k - 1]), p)
+    if facets == RP2_FACETS:
+        d3 = _boundary_matrix(levels[2], levels[3])
+        assert rank(d3, 0) == rank(d3, 3) == 10
+        assert rank(d3, 2) == 9
 
 
 @st.composite
