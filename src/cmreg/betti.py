@@ -161,7 +161,16 @@ def reduced_homology_ranks(by_dim, field_char=0):
         to the function f(v) - f(u) on the edges uv, so its kernel is the
         functions constant on each component, of dimension c in every
         characteristic.
-    Every higher boundary rank is computed by `linalg.rank`.
+    Every higher boundary rank is computed by `linalg.rank`, from the top
+    level down, with clearing (Chen-Kerber 2011; Bauer-Kerber-Reininghaus,
+    "Clear and compress", 2014): d_k is built without the level-k faces
+    that were pivot columns of d_{k+1}.  This is exact over every field.
+    The pivot row of d_{k+1} at a column sigma is a combination of
+    boundaries, so a cycle z = c sigma + (faces before sigma) with c != 0.
+    These cycles have distinct largest faces, so a nonzero combination of
+    them keeps a pivot face, and the faces left span a complement of them
+    in level k.  Since d_k sends every z to 0, it has the same image on
+    the faces left as on all of level k.
     """
     counts = [len(level) for level in by_dim]
     # boundary_ranks[k] = rank of the boundary map from level k to level k-1
@@ -170,8 +179,11 @@ def reduced_homology_ranks(by_dim, field_char=0):
         boundary_ranks[1] = 1
     if len(by_dim) > 2:
         boundary_ranks[2] = counts[1] - _components(by_dim[1], by_dim[2])
-    for k in range(3, len(by_dim)):
-        boundary_ranks[k] = rank(_boundary_matrix(by_dim[k - 1], by_dim[k]), field_char)
+    cleared = set()  # indices into level k of the pivot columns of d_{k+1}
+    for k in range(len(by_dim) - 1, 2, -1):
+        faces = [f for i, f in enumerate(by_dim[k]) if i not in cleared]
+        cleared = set()
+        boundary_ranks[k] = rank(_boundary_matrix(by_dim[k - 1], faces), field_char, cleared)
     # H~_{k-1} = ker - im at level k
     return [counts[k] - boundary_ranks[k] - boundary_ranks[k + 1] for k in range(len(by_dim))]
 

@@ -5,10 +5,10 @@
                   [--json] [--betti]
 
 Exit codes: 0 success, 1 mathematical failure (filter-regularity failure,
-method disagreement, Gin agreement failure), 2 input error (a file that
-is not UTF-8, syntax, undeclared variables, wrong field for the method, t
-outside [0, n], the unit ideal, an oracle input beyond its scope under
---method oracle, --bound below 1).
+method disagreement, Gin agreement failure) or out of memory, 2 input
+error (a file that is not UTF-8, syntax, undeclared variables, wrong field
+for the method, t outside [0, n], the unit ideal, an oracle input beyond
+its scope under --method oracle, --bound below 1).
 
 Every route reads in(I) through `regularity`; --betti runs the oracle on
 every input.  A route that refuses the input is skipped with a note unless
@@ -51,6 +51,12 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+
+OUT_OF_MEMORY = (
+    "resource failure: out of memory; a Hilbert numerator is a dense list of "
+    "coefficients, as long as the degrees the exponents reach (see README, "
+    "Scope, on high-exponent inputs)"
+)
 
 
 def ext(v):
@@ -247,6 +253,10 @@ def run(argv=None, out=sys.stdout, err=sys.stderr):
         return EXIT_INPUT
     except MathematicalFailure as exc:
         print("mathematical failure: %s" % _failure_text(exc, args.generic, ring.field), file=err)
+        return EXIT_MATH
+    except MemoryError:
+        # exit 1, as an uncaught MemoryError gives, but with no traceback
+        print(OUT_OF_MEMORY, file=err)
         return EXIT_MATH
 
     if monomial is None and "oracle" in reports:

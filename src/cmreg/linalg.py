@@ -7,26 +7,37 @@ from math import gcd
 from .fields import normalized
 
 
-def rank(rows, characteristic):
-    """Rank of a sparse integer matrix over QQ (characteristic 0) or GF(p)."""
+def rank(rows, characteristic, pivot_columns=None):
+    """Rank of a sparse integer matrix over QQ (characteristic 0) or GF(p).
+
+    If `pivot_columns` is a set, the call adds to it the columns at which
+    `_eliminate` kept a pivot row, one per unit of rank.
+    """
     if characteristic == 0:
-        return rank_int(rows)
-    return rank_mod_p(rows, characteristic)
+        return rank_int(rows, pivot_columns)
+    return rank_mod_p(rows, characteristic, pivot_columns)
 
 
-def rank_int(rows):
+def rank_int(rows, pivot_columns=None):
     """Rank over QQ of sparse integer rows {column: value}."""
-    return _eliminate(rows, 0)
+    return _count(_eliminate(rows, 0), pivot_columns)
 
 
-def rank_mod_p(rows, p):
+def rank_mod_p(rows, p, pivot_columns=None):
     """Rank over GF(p) of sparse integer rows {column: value}."""
-    return _eliminate(rows, p)
+    return _count(_eliminate(rows, p), pivot_columns)
+
+
+def _count(columns, pivot_columns):
+    if pivot_columns is not None:
+        pivot_columns.update(columns)
+    return len(columns)
 
 
 def _eliminate(rows, p):
-    """The number of pivot rows left by eliminating the rows in turn, over
-    GF(p) for a prime p and over QQ for p = 0.
+    """The pivot columns left by eliminating the rows in turn, over GF(p)
+    for a prime p and over QQ for p = 0: the largest column of each pivot
+    row, so as many columns as the rank.
 
     A row is reduced at its largest column by the pivot row stored for that
     column, until it is zero or becomes the pivot row of a new column: the
@@ -64,4 +75,4 @@ def _eliminate(rows, p):
                     row[j] = w
                 else:
                     del row[j]
-    return len(pivots)
+    return pivots.keys()

@@ -1,10 +1,13 @@
 """Betti table oracle: upper Koszul complexes, simplicial homology, and the
 regularity read-offs from column maxima."""
 
+import io
+import os
 import random
 
 import pytest
 
+import cmreg.linalg
 from cmreg import (
     MonomialIdeal,
     PolynomialRing,
@@ -22,8 +25,10 @@ from cmreg.betti import (
     reduced_homology_ranks,
     upper_koszul_complex,
 )
+from cmreg.cli import EXIT_OK, run
 
 from conftest import random_monomial_ideal
+from test_golden import GOLDEN, GOLDEN_DIR
 
 
 class TestLcmMultidegrees:
@@ -218,3 +223,38 @@ class TestInvariantsFromBetti:
             assert rep.max_generator_degree == inv["d"]
             assert (rep.reg_ideal, rep.astar_ideal) == (inv["reg"] + 1, inv["astar"])
             assert rep.c is None and rep.t == t
+
+
+class TestBoundaryEliminations:
+    # perfbench/tracer.py reads the linalg metrics off the calls of
+    # rank_int and rank_mod_p, and the size of each matrix off its first
+    # positional argument; an elimination that goes around them reads 0
+    @pytest.mark.parametrize(
+        "name, function, calls, rows",
+        [
+            # 115 boundary matrices at levels >= 3; cleared, they keep 916
+            # of their 1407 rows
+            ("oracle-gf2", "rank_mod_p", 115, 916),
+            # one d_3 with RP^2's 10 triangles, its top level: nothing cleared
+            ("rp2-gf2", "rank_mod_p", 1, 10),
+            ("rp2-qq", "rank_int", 1, 10),
+        ],
+    )
+    def test_every_boundary_rank_goes_through_the_traced_functions(
+        self, monkeypatch, name, function, calls, rows
+    ):
+        seen = {"rank_int": [], "rank_mod_p": []}
+        for spied in seen:
+            original = getattr(cmreg.linalg, spied)
+
+            def spy(*args, _original=original, _calls=seen[spied], **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cmreg.linalg, spied, spy)
+        path = os.path.join(GOLDEN_DIR, name + ".ideal")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["compute", "--input", path, "--json"] + GOLDEN[name], out=out, err=err) == EXIT_OK
+        assert {f: len(c) for f, c in seen.items() if c} == {function: calls}
+        assert all(isinstance(args[0], list) for args in seen[function])
+        assert sum(len(args[0]) for args in seen[function]) == rows

@@ -35,6 +35,12 @@ GOLDEN = {
     # variables over GF(2), whose boundary matrices form long elimination
     # chains
     "oracle-gf2": ORACLE,
+    # the largest complex in the oracle's scope that any check runs: 17
+    # generators in 8 variables with sum_b 2^|supp b| = 112,692 over the lcm
+    # lattice, over QQ and over GF(2), recorded before boundary maps were
+    # cleared of the pivot faces of the map above
+    "oracle-large-qq": ORACLE,
+    "oracle-large-gf2": ORACLE,
 }
 
 

@@ -33,7 +33,15 @@ from cmreg import (
     s_polynomial,
 )
 from cmreg.betti import upper_koszul_complex
-from cmreg.cli import EXIT_INPUT, EXIT_MATH, EXIT_OK, _check_agreement, build_parser, run
+from cmreg.cli import (
+    EXIT_INPUT,
+    EXIT_MATH,
+    EXIT_OK,
+    OUT_OF_MEMORY,
+    _check_agreement,
+    build_parser,
+    run,
+)
 from cmreg.groebner import buchberger
 
 from conftest import non_borel_draw, quartic_curve_ideal
@@ -571,6 +579,25 @@ class TestCli:
         )
         assert code == EXIT_OK
         assert json.loads(out)["methods"]["oracle"]["reg_quotient"] == 3 * d - 2
+
+    @pytest.mark.parametrize("method", ["oracle", "all"])
+    def test_out_of_memory_is_one_line_and_exit_1(self, tmp_path, monkeypatch, method):
+        # x^1000000000*y, y^1000000000*z^3, x^5*z^1000000000 runs out of
+        # memory in its Hilbert numerator on every route; a route that raises
+        # MemoryError stands in for it, after the c and Gin routes under all
+        p = tmp_path / "m.ideal"
+        p.write_text("ring: x y z\nfield: QQ\nideal:\nx*y\ny*z^3\nx^5*z\n")
+
+        def exhausted(ideal, t):
+            raise MemoryError
+
+        monkeypatch.setattr(cmreg.cli, "invariants_via_betti", exhausted)
+        code, out, err = run_cli(["compute", "--input", str(p), "--method", method])
+        assert code == EXIT_MATH == 1
+        assert out == ""
+        assert err.splitlines() == [OUT_OF_MEMORY]
+        assert err.startswith("resource failure: out of memory") and "README" in err
+        assert "Traceback" not in err
 
     def test_no_subcommand_prints_help(self):
         code, _, err = run_cli([])

@@ -5,10 +5,12 @@ the divisor masks select against those that divide, and the upper Koszul
 complex read off its facets against its definition; on random facet
 sets over at most 7 vertices, over QQ, GF(2) and GF(3): reduced homology
 with its two lowest boundary ranks counted against elimination at every
-level; on random monomial ideals in 5 to 8 variables at oracle scale, in
-characteristics 0, 2 and 3: the K-polynomial of the Betti table against
-the Hilbert numerator; on integer polynomials: reducing mod p commutes
-with the ring operations; on sparse integer matrices over QQ and GF(p),
+level; on random facet sets over at most 8 vertices, over QQ, GF(2) and
+GF(3): each boundary rank, with the pivot faces of the map above cleared,
+against the dense rank of the whole map; on random monomial ideals in 5
+to 8 variables at oracle scale, in characteristics 0, 2 and 3: the
+K-polynomial of the Betti table against the Hilbert numerator; on
+integer polynomials: reducing mod p commutes with the ring operations; on sparse integer matrices over QQ and GF(p),
 and on the boundary matrices of random facet sets over at most 8
 vertices over QQ, GF(2) and GF(3): the elimination kernel's rank against
 a dense elimination; on random homogeneous ideals over QQ, GF(2)
@@ -350,6 +352,8 @@ def dense_rank(rows, ncols, p):
         m[r], m[pivot] = m[pivot], m[r]
         inverse = pow(m[r][col], -1, p) if p else 1 / m[r][col]
         for i in range(r + 1, len(m)):
+            if not m[i][col]:
+                continue
             f = m[i][col] * inverse
             m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             if p:
@@ -382,6 +386,44 @@ def test_boundary_ranks_are_the_dense_ranks(facets):
         d3 = _boundary_matrix(levels[2], levels[3])
         assert rank(d3, 0) == rank(d3, 3) == 10
         assert rank(d3, 2) == 9
+
+
+# the boundary of the 4-simplex, a 3-sphere: H~_3 = 1 in every field
+SPHERE3_FACETS = list(combinations(range(5), 4))
+# the 5-skeleton of the 7-simplex: H~_5 = C(7, 6) = 7 in every field, and
+# clearing chains down from level 6 to level 3
+SKELETON_FACETS = list(combinations(range(8), 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.sets(st.integers(0, 7), max_size=7), max_size=8))
+@example(RP2_FACETS)
+@example(SPHERE3_FACETS)
+@example(SKELETON_FACETS)
+def test_clearing_keeps_every_boundary_rank(facets):
+    # from the top level down, as reduced_homology_ranks does: d_k on the
+    # level-k faces that were not pivot columns of d_{k+1} has the rank of
+    # the whole d_k
+    levels = levels_of(facets)
+    for p in (0, 2, 3):
+        ranks, cleared = {}, set()
+        for k in range(len(levels) - 1, 2, -1):
+            faces = [f for i, f in enumerate(levels[k]) if i not in cleared]
+            pivots = set()
+            ranks[k] = rank(_boundary_matrix(levels[k - 1], faces), p, pivots)
+            whole = _boundary_matrix(levels[k - 1], levels[k])
+            assert ranks[k] == dense_rank(whole, len(levels[k - 1]), p)
+            assert len(pivots) == ranks[k]
+            assert all(0 <= c < len(levels[k - 1]) for c in pivots)
+            cleared = pivots
+        homology = reduced_homology_ranks(levels, p)
+        assert homology == homology_by_elimination(levels, p)
+        if facets == RP2_FACETS:
+            assert (ranks[3], homology) == ((9, [0, 0, 1, 1]) if p == 2 else (10, [0] * 4))
+        if facets == SPHERE3_FACETS:
+            assert homology == [0, 0, 0, 0, 1]
+        if facets == SKELETON_FACETS:
+            assert homology == [0] * 6 + [7]
 
 
 @st.composite
