@@ -8,6 +8,7 @@ Extended integers use the floats -inf/+inf alongside Python ints; the
 conventions -inf < k < +inf and -inf + k = -inf come for free.
 """
 
+from itertools import accumulate
 from math import factorial
 
 from .orders import mono_divides
@@ -113,52 +114,32 @@ class MonomialIdeal:
 # univariate integer polynomials in t, as coefficient lists
 
 
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _padd(p, q, shift=0, sign=1):
+    """p + sign * t^shift * q, trimmed."""
+    out = list(p) + [0] * (len(q) + shift - len(p))
+    for i, c in enumerate(q, shift):
+        out[i] += sign * c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _padd(p, q):
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _psub(p, q):
-    return _padd(p, [-c for c in q])
-
-
-def _pshift(p, k):
-    return [0] * k + list(p) if p else []
-
-
-def poly_degree(p):
-    return len(p) - 1 if p else NEG_INF
-
-
-def divide_by_one_minus_t(p):
-    """Return q with p = (1-t) q, or None if (1-t) does not divide p."""
-    if not p:
-        return []
-    q = []
-    acc = 0
-    for c in p[:-1]:
-        acc += c
-        q.append(acc)
-    if acc + p[-1] != 0:
-        return None
-    return _trim(q)
+def _order_at_one(num):
+    """The multiplicity of t = 1 as a root of a trimmed num, 0 for num = 0.
+    (1-t) divides num iff its coefficients sum to 0, and the quotient is
+    then the prefix sums of num, again trimmed."""
+    k = 0
+    while num and sum(num) == 0:
+        num, k = list(accumulate(num[:-1])), k + 1
+    return k
 
 
 def hilbert_numerator(J):
     """Coefficients of N(t) with HS(S/J) = N(t)/(1-t)^n, by `_numerator`.
 
     The result is kept on J, so it is computed once per ideal; an in(g I)
-    found by Buchberger with a Hilbert target arrives with it kept.
+    found by Buchberger with a Hilbert target arrives with it kept, and the
+    oracle route keeps its Betti table's K-polynomial, the same numerator.
     """
     if J._hilbert is None:
         J._hilbert = tuple(_numerator(J.gens))
@@ -175,7 +156,7 @@ def colon_step(num, gens, m):
     """N(L + (m)) = N(L) - t^{deg m} N(L : m) from num = N(L), for L spanned
     by the monomials gens, minimal or not, and a monomial m (Bigatti, JPAA
     119, 1997)."""
-    return _psub(num, _pshift(_numerator(_colon(gens, m)), sum(m)))
+    return _padd(num, _numerator(_colon(gens, m)), sum(m), -1)
 
 
 def complete_intersection_numerator(degrees):
@@ -186,7 +167,7 @@ def complete_intersection_numerator(degrees):
     groebner.buchberger); for r > n the product bounds nothing."""
     out = [1]
     for d in degrees:
-        out = _psub(out, _pshift(out, d))
+        out = _padd(out, out, d, -1)
     return out
 
 
@@ -209,7 +190,7 @@ def _numerator(gens):
     k = min(g[pivot] for g in mixed if g[pivot] > 0)
     p = tuple(k if i == pivot else 0 for i in range(nvars))
     plus = minimalize([g for g in gens if g[pivot] < k] + [p])
-    return _padd(_numerator(plus), _pshift(_numerator(_colon(gens, p)), k))
+    return _padd(_numerator(plus), _numerator(_colon(gens, p)), k)
 
 
 def quotient_top_degree(J_sub, J_sup):
@@ -226,27 +207,19 @@ def quotient_top_degree(J_sub, J_sup):
     for g in J_sub.gens:
         if not J_sup.contains(g):
             raise InputError("containment J_sub <= J_sup violated")
-    diff = _psub(hilbert_numerator(J_sub), hilbert_numerator(J_sup))
+    diff = _padd(hilbert_numerator(J_sub), hilbert_numerator(J_sup), sign=-1)
     if not diff:
         return NEG_INF
-    # the quotient's series is diff / (1-t)^n = q (1-t)^(k-n)
-    k, q = _one_minus_t_power(diff)
-    return POS_INF if k < J_sub.n else poly_degree(q) + k - J_sub.n
+    # the quotient's series is diff / (1-t)^n = q (1-t)^(k-n), k the order at
+    # 1: a polynomial of degree deg q + k - n = deg diff - n when k >= n
+    return POS_INF if _order_at_one(diff) < J_sub.n else len(diff) - 1 - J_sub.n
 
 
 def krull_dimension(J):
     """dim(S/J) = n minus the multiplicity of t = 1 in the numerator."""
     if J.is_unit():
         return -1  # the zero ring, by convention
-    return J.n - _one_minus_t_power(hilbert_numerator(J))[0]
-
-
-def _one_minus_t_power(num):
-    """(k, q) with num = (1-t)^k q and (1-t) not dividing q; (0, []) for 0."""
-    k = 0
-    while num and (q := divide_by_one_minus_t(num)) is not None:
-        num, k = q, k + 1
-    return k, num
+    return J.n - _order_at_one(hilbert_numerator(J))
 
 
 def is_borel_fixed(J):

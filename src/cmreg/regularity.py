@@ -338,6 +338,8 @@ def invariants_via_betti(I, t=None):
     _check_input(J, t)
     t_eff = J.n if t is None else t
     table = betti_table(J)
+    if J._hilbert is None:  # the K-polynomial is J's Hilbert numerator
+        J._hilbert = tuple(table.k_polynomial())
     inv = invariants_from_betti(table, t=t_eff)
     reg_i, astar_i, reg_q, astar_q = _with_ideal_side(
         inv["reg"], inv["astar"], bool(J.gens)

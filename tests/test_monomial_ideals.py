@@ -21,7 +21,7 @@ from cmreg import (
     quotient_top_degree,
 )
 from cmreg.monomial_ideals import (
-    divide_by_one_minus_t,
+    _order_at_one,
     hilbert_function,
     hilbert_polynomial_value,
 )
@@ -378,8 +378,8 @@ class TestHilbertFunctionAndPolynomial:
         for m in range(-5, 11):
             assert hilbert_polynomial_value(J, m) == 0
 
-    def test_divide_by_one_minus_t(self):
-        assert divide_by_one_minus_t([1, -2, 1]) == [1, -1]
-        assert divide_by_one_minus_t([1, 0, -1]) == [1, 1]
-        assert divide_by_one_minus_t([1, 1]) is None
-        assert divide_by_one_minus_t([]) == []
+    def test_order_at_one(self):
+        assert _order_at_one([1, -2, 1]) == 2
+        assert _order_at_one([1, 0, -1]) == 1
+        assert _order_at_one([1, 1]) == 0
+        assert _order_at_one([]) == 0

@@ -62,6 +62,8 @@ from cmreg.betti import (
 from cmreg.groebner import _leading_ideal, buchberger, interreduce
 from cmreg.linalg import rank
 from cmreg.monomial_ideals import (
+    _order_at_one,
+    _padd,
     colon_step,
     complete_intersection_numerator,
     hilbert_function,
@@ -545,6 +547,41 @@ def test_the_colon_step_is_the_numerator_from_nothing(case):
     for j, m in enumerate(monos):
         num = colon_step(num, monos[:j], m)
         assert num == hilbert_numerator(MonomialIdeal.from_generators(ring, monos[: j + 1]))
+
+
+coefficients = st.lists(st.integers(-5, 5), max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(coefficients, coefficients, st.integers(0, 12), st.sampled_from([1, -1]))
+@example([1, 2], [], 5, 1)  # q = 0 shifted past p
+@example([1], [3, 0, 4], 4, -1)  # q shifted past p
+def test_padd_is_the_coefficient_sum(p, q, shift, sign):
+    # p + sign t^shift q, summed coefficient by coefficient, then trimmed;
+    # neither argument is changed
+    before = (list(p), list(q))
+    size = max(len(p), len(q) + shift)
+    naive = [
+        (p[i] if i < len(p) else 0) + sign * (q[i - shift] if 0 <= i - shift < len(q) else 0)
+        for i in range(size)
+    ]
+    while naive and naive[-1] == 0:
+        naive.pop()
+    assert _padd(p, q, shift, sign) == naive
+    assert (p, q) == before
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=8), st.integers(0, 5))
+def test_the_order_at_one_is_the_power_of_one_minus_t(q, k):
+    # t = 1 is a root of q (1-t)^k of multiplicity exactly k when q(1) != 0
+    assume(sum(q) != 0)
+    num = list(q)
+    while num[-1] == 0:
+        num.pop()
+    for _ in range(k):
+        num = [a - b for a, b in zip(num + [0], [0] + num)]
+    assert _order_at_one(num) == k
 
 
 @PROPERTY_SETTINGS

@@ -31,6 +31,8 @@ from cmreg import (
     invariants_from_betti,
     invariants_via_betti,
     invariants_via_gin,
+    krull_dimension,
+    parse_input,
 )
 from cmreg.regularity import (
     DRAW_CAP,
@@ -453,6 +455,30 @@ class TestOracleOnIdeals:
         monkeypatch.setattr(cmreg.groebner, "_groebner_basis", counted)
         invariants_via_betti(curve_ideal)
         assert calls == []
+
+    @pytest.mark.parametrize("case", ["rp2-gf2", "curve"])
+    def test_dim_comes_off_the_table(self, case, curve_initial, monkeypatch):
+        # the oracle keeps its table's K-polynomial as J's numerator and reads
+        # dim off it, with no pivot recursion; a numerator that J already
+        # keeps, as after the c route under --method all, stays as it is
+        if case == "rp2-gf2":
+            with open(os.path.join(GOLDEN_DIR, "rp2-gf2.ideal"), encoding="utf-8") as fh:
+                document = parse_input(fh.read())
+            ring = document.ring
+            gens = [next(iter(g.coeffs)) for g in document.generators]
+        else:
+            ring, gens = curve_initial.ring, curve_initial.gens
+        computed = spy_on_numerators(monkeypatch)
+        J = MonomialIdeal(ring, gens)
+        dim = invariants_via_betti(J).dim_quotient
+        assert computed == []
+        assert dim == krull_dimension(MonomialIdeal(ring, gens))
+        J = MonomialIdeal(ring, gens)
+        full_invariants(J)
+        kept = J._hilbert
+        assert kept is not None
+        assert invariants_via_betti(J).dim_quotient == dim
+        assert J._hilbert is kept
 
 
 class TestDegreeBoundTarget:
