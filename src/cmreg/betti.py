@@ -4,19 +4,15 @@ the resolution read-offs of regularity, the a*-invariant and their partial
 versions.
 
 A face of an upper Koszul complex is an int bitmask over the variables (bit
-j for the variable of index j), and a set of minimal generators is a
-bitmask over J.gens.
-The generators that divide x^b are read off per-variable divisor masks.
+j for the variable of index j).
 
 This is a verification oracle, deliberately restricted to desk scale
 (n <= 8, at most 20 generators).
 """
 
-from bisect import bisect_left, bisect_right
-
 from .linalg import rank
 from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
-from .orders import mono_lcm
+from .orders import mono_divides, mono_lcm
 
 MAX_GENERATORS = 20
 MAX_VARIABLES = 8
@@ -46,55 +42,22 @@ def lcm_multidegrees(J):
     return acc
 
 
-def _divisor_masks(J):
-    """For each variable x_j, a pair (exps, row): the exponents of x_j in
-    J's generators in increasing order, after a sentinel -1, and row[i] =
-    the generators g with g_j <= exps[i], as a bitmask over J.gens (0 for
-    the sentinel).  Only the exponents that occur are listed, so a large
-    exponent costs no more than a small one."""
-    masks = []
-    for j in range(J.n):
-        at = {}
-        for k, g in enumerate(J.gens):
-            at[g[j]] = at.get(g[j], 0) | 1 << k
-        exps, row = [-1], [0]
-        for e in sorted(at):
-            exps.append(e)
-            row.append(row[-1] | at[e])
-        masks.append((exps, row))
-    return masks
-
-
-def _divisors(masks, b):
-    """The generators that divide x^b, those with g_j <= b_j for every j, as
-    a bitmask over J.gens, for masks = `_divisor_masks(J)`."""
-    divides = -1  # every generator, before any variable is read
-    for (exps, row), e in zip(masks, b):
-        divides &= row[bisect_right(exps, e) - 1]
-    return divides
-
-
-def upper_koszul_complex(J, b, masks=None):
+def upper_koszul_complex(J, b):
     """Faces of K^b(J) = {sigma subset of supp b : x^(b - e_sigma) in J}, as
     bitmasks over the variables.
 
     K^b is generated by T_g = {j : g_j < b_j} for the minimal generators g
-    dividing x^b, read off masks = `_divisor_masks(J)` (computed here if
-    not given).  Returns [] (the void complex) when there is none, and
-    otherwise faces[k], the sorted k-bit submasks of some T_g, for
-    k = 0 .. max |T_g| (faces[0] = [0], the empty face).
+    dividing x^b, read off one scan of J.gens.  Returns [] (the void
+    complex) when there is none, and otherwise faces[k], the sorted k-bit
+    submasks of some T_g, for k = 0 .. max |T_g| (faces[0] = [0], the empty
+    face).
     """
     if len(b) != J.n:
         raise InputError("multidegree from a different ring")
-    if masks is None:
-        masks = _divisor_masks(J)
-    divides = _divisors(masks, b)
-    # below[j] = the generators g with g_j < b_j
-    below = [row[bisect_left(exps, e) - 1] for (exps, row), e in zip(masks, b)]
     tops = {
-        sum(1 << j for j, gens in enumerate(below) if gens >> k & 1)
-        for k in range(len(J.gens))
-        if divides >> k & 1
+        sum(1 << j for j, (e, c) in enumerate(zip(g, b)) if e < c)
+        for g in J.gens
+        if mono_divides(g, b)
     }
     faces = {0} if tops else set()
     for top in tops:
@@ -108,17 +71,17 @@ def upper_koszul_complex(J, b, masks=None):
     return levels
 
 
-def _boundary_matrix(lower, upper):
-    """Boundary matrix from faces `upper` (dim d) to `lower` (dim d-1), as
-    sparse rows {column: value}, one per face of `upper`: the k-th facet of
-    a face, with sign (-1)^k, drops its k-th lowest bit."""
-    index = {f: i for i, f in enumerate(lower)}
+def _boundary_matrix(upper):
+    """Boundary matrix from faces `upper` (dim d) to the faces of dim d-1,
+    as sparse rows {column: value}, one per face of `upper`, each column
+    the bitmask of its face: the k-th facet of a face, with sign (-1)^k,
+    drops its k-th lowest bit."""
     rows = []
     for face in upper:
         row, sign, rest = {}, 1, face
         while rest:
             low = rest & -rest
-            row[index[face ^ low]] = sign
+            row[face ^ low] = sign
             sign, rest = -sign, rest ^ low
         rows.append(row)
     return rows
@@ -179,11 +142,11 @@ def reduced_homology_ranks(by_dim, field_char=0):
         boundary_ranks[1] = 1
     if len(by_dim) > 2:
         boundary_ranks[2] = counts[1] - _components(by_dim[1], by_dim[2])
-    cleared = set()  # indices into level k of the pivot columns of d_{k+1}
+    cleared = set()  # the level-k faces that were pivot columns of d_{k+1}
     for k in range(len(by_dim) - 1, 2, -1):
-        faces = [f for i, f in enumerate(by_dim[k]) if i not in cleared]
+        faces = [f for f in by_dim[k] if f not in cleared]
         cleared = set()
-        boundary_ranks[k] = rank(_boundary_matrix(by_dim[k - 1], faces), field_char, cleared)
+        boundary_ranks[k] = rank(_boundary_matrix(faces), field_char, cleared)
     # H~_{k-1} = ker - im at level k
     return [counts[k] - boundary_ranks[k] - boundary_ranks[k + 1] for k in range(len(by_dim))]
 
@@ -233,9 +196,8 @@ def betti_table(J, field_char=None):
         return BettiTable(entries, J.n)
     if field_char is None:
         field_char = J.ring.field.characteristic
-    masks = _divisor_masks(J)
     for b in lcm_multidegrees(J):  # refuses the unit ideal and J beyond scope
-        ranks = reduced_homology_ranks(upper_koszul_complex(J, b, masks), field_char)
+        ranks = reduced_homology_ranks(upper_koszul_complex(J, b), field_char)
         j = sum(b)
         # beta_{i,b}(S/J) = H~_{i-2}(K^b), and ranks starts at H~_{-1}
         for i, r in enumerate(ranks, 1):

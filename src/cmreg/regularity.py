@@ -155,8 +155,8 @@ def _initial_of(I, rows=None, drawn=None):
     return J
 
 
-def c_invariants(I, t):
-    """The substitution invariants c_0, ..., c_t of in(I).
+def c_invariants(I, t=None):
+    """The substitution invariants c_0, ..., c_t of in(I), at t (default n).
 
     Indices run up to n; the index-n entry is the degree-0 contribution
     of the residue field (0 for every proper ideal), which closes the
@@ -165,6 +165,8 @@ def c_invariants(I, t):
     J = _initial_of(I)
     n = J.n
     _check_input(J, t)
+    if t is None:
+        t = n
     values = []
     for i in range(min(t, n - 1) + 1):
         J_i = J.set_vars_zero(i)

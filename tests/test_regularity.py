@@ -73,6 +73,14 @@ class TestCInvariants:
         assert len(c) == 5
         assert c[4] == 0
 
+    def test_cutoff_defaults_to_n(self, curve_initial):
+        J = MonomialIdeal.from_generators(
+            PolynomialRing(["x", "y", "z"], PrimeField(2)), [(2, 0, 0), (1, 1, 0), (0, 1, 2)]
+        )
+        for ideal in (curve_initial, J):
+            assert c_invariants(ideal, None) == c_invariants(ideal, ideal.n)
+            assert c_invariants(ideal) == c_invariants(ideal, ideal.n)
+
     def test_range_check(self, curve_initial):
         with pytest.raises(ValueError):
             c_invariants(curve_initial, 5)
