@@ -1,5 +1,6 @@
 """Exact matrix ranks over QQ and GF(p), by one sparse elimination on
-integer rows held as {column: value}.  No floating point anywhere.
+integer rows held as {column: value} over non-negative int columns; over
+GF(2), as int bitsets reduced by XOR.  No floating point anywhere.
 """
 
 from math import gcd
@@ -10,8 +11,10 @@ from .fields import normalized
 def rank(rows, characteristic, pivot_columns=None):
     """Rank of a sparse integer matrix over QQ (characteristic 0) or GF(p).
 
-    If `pivot_columns` is a set, the call adds to it the columns at which
-    `_eliminate` kept a pivot row, one per unit of rank.
+    Rows are {column: value} over non-negative int columns (face bitmasks
+    or matrix indices), and are never mutated.  If `pivot_columns` is a
+    set, the call adds to it the columns at which `_eliminate` kept a pivot
+    row, one per unit of rank.
     """
     if characteristic == 0:
         return rank_int(rows, pivot_columns)
@@ -24,7 +27,8 @@ def rank_int(rows, pivot_columns=None):
 
 
 def rank_mod_p(rows, p, pivot_columns=None):
-    """Rank over GF(p) of sparse integer rows {column: value}."""
+    """Rank over GF(p) of sparse integer rows {column: value}; over GF(2)
+    the rows are reduced as int bitsets, with no normalized pivot rows."""
     return _count(_eliminate(rows, p), pivot_columns)
 
 
@@ -50,11 +54,26 @@ def _eliminate(rows, p):
     depend on the column a row is reduced at.
 
     A step r <- a*r - c*pivot, with a and c divided by their gcd, stays on
-    integers.  Over GF(p) values are residues, and a pivot row is the
+    integers.  Over odd GF(p) values are residues, and a pivot row is the
     canonical multiple of its row, `fields.normalized`.  So a = 1 whenever
     the pivot's lead is 1, and the row is updated in place.
+
+    Over GF(2) a row is one int, bit j set for each odd value at column
+    j >= 0; a step is r ^= pivot at the top bit, with no normalized pivot
+    rows.  These are the pivot rows above mod 2, so the pivot columns are
+    the same (PHAT's columns, Bauer-Kerber-Reininghaus-Wagner, 2017).
     """
     pivots = {}
+    if p == 2:
+        for row in rows:
+            r = 0
+            for j, v in row.items():
+                r |= (v & 1) << j
+            while r and (col := r.bit_length() - 1) in pivots:
+                r ^= pivots[col]
+            if r:
+                pivots[col] = r
+        return pivots.keys()
     for row in rows:
         row = {j: w for j, v in row.items() if (w := v % p if p else v)}
         while row:

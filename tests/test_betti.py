@@ -258,3 +258,22 @@ class TestBoundaryEliminations:
         assert {f: len(c) for f, c in seen.items() if c} == {function: calls}
         assert all(isinstance(args[0], list) for args in seen[function])
         assert sum(len(args[0]) for args in seen[function]) == rows
+
+    @pytest.mark.parametrize(
+        "name, normalizes", [("oracle-gf2", False), ("rp2-gf2", False), ("rp2-qq", True)]
+    )
+    def test_only_the_dict_kernel_normalizes_pivot_rows(self, monkeypatch, name, normalizes):
+        # over GF(2) a pivot row is an int bitset and needs no canonical
+        # multiple; over QQ every pivot row is one
+        calls = []
+        original = cmreg.linalg.normalized
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cmreg.linalg, "normalized", spy)
+        path = os.path.join(GOLDEN_DIR, name + ".ideal")
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["compute", "--input", path, "--json"] + GOLDEN[name], out=out, err=err) == EXIT_OK
+        assert bool(calls) == normalizes

@@ -308,31 +308,37 @@ def test_reduction_mod_p_commutes_with_s_polynomials(p, f, g):
 
 @st.composite
 def sparse_matrices(draw):
-    """A characteristic (0 for QQ, or 2, 3, 32003) and up to 8 sparse rows
-    {column: value} over at most 8 columns, with entries up to +-1000 and
-    stored zeros: the empty matrix and zero rows included, and dependent
-    rows (repeats, multiples and sums of earlier rows) appended."""
+    """A characteristic (0 for QQ, or 2, 3, 32003), a sorted list of at most
+    8 columns, drawn from 0..7 or sparsely from the oracle's face range
+    0..255, and up to 8 sparse rows {column: value} over them, with entries
+    up to +-1000 and stored zeros: the empty matrix and zero rows included,
+    and dependent rows (repeats, multiples and sums of earlier rows)
+    appended."""
     p = draw(st.sampled_from([0, 2, 3, 32003]))
-    ncols = draw(st.integers(1, 8))
+    column = st.one_of(st.integers(0, 7), st.integers(0, 255))
+    columns = sorted(draw(st.sets(column, min_size=1, max_size=8)))
     entry = st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
-    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry), max_size=8))
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(columns), entry), max_size=8))
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         a, c = draw(entry), draw(entry)
         cols = set(rows[i]) | set(rows[j])
         rows.append({k: a * rows[i].get(k, 0) + c * rows[j].get(k, 0) for k in cols})
     draw(st.randoms()).shuffle(rows)
-    return p, ncols, rows
+    return p, columns, rows
 
 
-def dense_rank(rows, columns, p):
-    """Rank by dense Gaussian elimination over the listed columns, in
-    Fractions over QQ (p = 0) and on residues mod p over GF(p)."""
+def leading_columns(rows, columns, p):
+    """The row space's leading columns, {largest column of v : v a nonzero
+    vector in the row space}: the pivot columns of a dense Gaussian
+    elimination over the columns taken largest first, in Fractions over QQ
+    (p = 0) and on residues mod p over GF(p)."""
+    columns = sorted(columns, reverse=True)
     if p:
         m = [[row.get(k, 0) % p for k in columns] for row in rows]
     else:
         m = [[Fraction(row.get(k, 0)) for k in columns] for row in rows]
-    r = 0
+    r, pivots = 0, set()
     for col in range(len(columns)):
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
@@ -347,16 +353,49 @@ def dense_rank(rows, columns, p):
             if p:
                 m[i] = [a % p for a in m[i]]
         r += 1
-    return r
+        pivots.add(columns[col])
+    return pivots
+
+
+def dense_rank(rows, columns, p):
+    """Rank by dense Gaussian elimination over the listed columns."""
+    return len(leading_columns(rows, columns, p))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(sparse_matrices())
 def test_sparse_rank_is_the_dense_rank(case):
-    p, ncols, rows = case
+    p, columns, rows = case
     copies = [dict(row) for row in rows]
-    assert rank(rows, p) == dense_rank(rows, range(ncols), p)
+    assert rank(rows, p) == dense_rank(rows, columns, p)
     assert rows == copies  # the kernel works on its own copies of the rows
+
+
+@st.composite
+def boundary_matrices(draw):
+    """The columns (level k - 1) and rows of one boundary matrix d_k of a
+    random complex on at most 8 vertices, in bitmask order."""
+    facet = st.sets(st.integers(0, 7), min_size=1, max_size=6)
+    levels = levels_of(draw(st.lists(facet, min_size=1, max_size=8)))
+    k = draw(st.integers(1, len(levels) - 1))
+    return levels[k - 1], _boundary_matrix(levels[k])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(sparse_matrices().map(lambda case: case[1:]), boundary_matrices()))
+@example(([0, 3, 9], [{0: 2, 3: -4, 9: 0}]))  # every entry even
+# -1 entries: rank 3 over QQ (det -2), but the rows sum to 0 mod 2
+@example(([0, 1, 2], [{0: -1, 2: -1}, {1: -1, 2: 1}, {0: 1, 1: -1}]))
+@example(([0, 200], [{0: 5}, {0: -1, 200: 3}]))  # a row at column 0
+@example(([], []))  # the empty matrix
+def test_pivot_columns_are_the_leading_columns_of_the_row_space(case):
+    # clearing drops the level-k faces that were pivot columns of d_{k+1},
+    # so the kernel must give these columns, not only their number
+    columns, rows = case
+    for p in (0, 2, 3, 32003):
+        pivots = set()
+        assert rank(rows, p, pivots) == len(pivots)
+        assert pivots == leading_columns(rows, columns, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -214,6 +214,9 @@ class TestLinearChange:
         assert not matrix_is_invertible(QQ, [[2, 2], [1, 1]])
         assert matrix_is_invertible(QQ, [[2, 0], [0, 1]])
         assert not matrix_is_invertible(PrimeField(2), [[2, 0], [0, 1]])
+        # det -2: a negative entry is odd, so the rows agree mod 2
+        assert matrix_is_invertible(QQ, [[1, 1], [1, -1]])
+        assert not matrix_is_invertible(PrimeField(2), [[1, 1], [1, -1]])
 
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
