@@ -10,7 +10,7 @@ This is a verification oracle, deliberately restricted to desk scale
 (n <= 8, at most 20 generators).
 """
 
-from .linalg import rank
+from .linalg import _xor_pivots, rank
 from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
 from .orders import mono_divides, mono_lcm
 
@@ -87,27 +87,6 @@ def _boundary_matrix(upper):
     return rows
 
 
-def _components(vertices, edges):
-    """The number of connected components of the graph on `vertices`
-    (single-bit faces) with `edges` (two-bit faces), by a union-find."""
-    root = {v: v for v in vertices}
-
-    def find(v):
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    count = len(root)
-    for edge in edges:
-        low = edge & -edge
-        u, v = find(low), find(edge ^ low)
-        if u != v:
-            root[u] = v
-            count -= 1
-    return count
-
-
 def reduced_homology_ranks(by_dim, field_char=0):
     """Reduced homology ranks of a simplicial complex given by its faces,
     bitmasks over the vertices, level by level (level k holds the faces
@@ -115,15 +94,16 @@ def reduced_homology_ranks(by_dim, field_char=0):
     starting at H~_{-1}, which is 1 for {empty face} and 0 otherwise.
     The void complex [] has no homology, and gives [].
 
-    The two lowest boundary ranks are counted, not eliminated, and both
-    counts hold over every field:
+    The two lowest boundary ranks are taken outside `linalg.rank`, and both
+    hold over every field:
       rank d_1 = 1 if there is a vertex, else 0: d_1 sends every vertex to
         the empty face with coefficient 1;
       rank d_2 = V - c, for V vertices and c connected components of the
         1-skeleton: the transpose of d_2 sends a function f on the vertices
         to the function f(v) - f(u) on the edges uv, so its kernel is the
         functions constant on each component, of dimension c in every
-        characteristic.
+        characteristic.  Over GF(2) the boundary u + v of an edge uv is its
+        own bitmask, so this is the XOR rank of the edge masks.
     Every higher boundary rank is computed by `linalg.rank`, from the top
     level down, with clearing (Chen-Kerber 2011; Bauer-Kerber-Reininghaus,
     "Clear and compress", 2014): d_k is built without the level-k faces
@@ -141,7 +121,7 @@ def reduced_homology_ranks(by_dim, field_char=0):
     if len(by_dim) > 1:  # then some face, so level 1, has a vertex
         boundary_ranks[1] = 1
     if len(by_dim) > 2:
-        boundary_ranks[2] = counts[1] - _components(by_dim[1], by_dim[2])
+        boundary_ranks[2] = len(_xor_pivots(by_dim[2]))
     cleared = set()  # the level-k faces that were pivot columns of d_{k+1}
     for k in range(len(by_dim) - 1, 2, -1):
         faces = [f for f in by_dim[k] if f not in cleared]
@@ -226,6 +206,5 @@ def invariants_from_betti(table, t=None):
         tail = {i: bi for i, bi in b.items() if i >= n - t}
         result["reg_t"] = max((bi - i for i, bi in tail.items()), default=NEG_INF)
         result["astar_t"] = (max(tail.values()) - n) if tail else NEG_INF
-    gen_degrees = [j for (i, j) in table.entries if i == 1]
-    result["d"] = max(gen_degrees) if gen_degrees else NEG_INF
+    result["d"] = b.get(1, NEG_INF)
     return result

@@ -1,6 +1,7 @@
 """Exact matrix ranks over QQ and GF(p), by one sparse elimination on
 integer rows held as {column: value} over non-negative int columns; over
-GF(2), as int bitsets reduced by XOR.  No floating point anywhere.
+GF(2), on int bitsets by one XOR loop, which also takes the Betti
+oracle's rank d_2 off its edge masks.  No floating point anywhere.
 """
 
 from math import gcd
@@ -59,21 +60,12 @@ def _eliminate(rows, p):
     the pivot's lead is 1, and the row is updated in place.
 
     Over GF(2) a row is one int, bit j set for each odd value at column
-    j >= 0; a step is r ^= pivot at the top bit, with no normalized pivot
-    rows.  These are the pivot rows above mod 2, so the pivot columns are
-    the same (PHAT's columns, Bauer-Kerber-Reininghaus-Wagner, 2017).
+    j >= 0, reduced by `_xor_pivots`.  Its pivot rows are the ones above
+    mod 2, so the pivot columns are the same.
     """
-    pivots = {}
     if p == 2:
-        for row in rows:
-            r = 0
-            for j, v in row.items():
-                r |= (v & 1) << j
-            while r and (col := r.bit_length() - 1) in pivots:
-                r ^= pivots[col]
-            if r:
-                pivots[col] = r
-        return pivots.keys()
+        return _xor_pivots(sum((v & 1) << j for j, v in row.items()) for row in rows)
+    pivots = {}
     for row in rows:
         row = {j: w for j, v in row.items() if (w := v % p if p else v)}
         while row:
@@ -94,4 +86,17 @@ def _eliminate(rows, p):
                     row[j] = w
                 else:
                     del row[j]
+    return pivots.keys()
+
+
+def _xor_pivots(bitsets):
+    """`_eliminate`'s pivot columns over GF(2), of rows given as int
+    bitsets: r ^= pivot at the top bit of r, until r is zero or the pivot
+    row of a new column (PHAT's columns, Bauer-Kerber-Reininghaus-Wagner)."""
+    pivots = {}
+    for r in bitsets:
+        while r and (col := r.bit_length() - 1) in pivots:
+            r ^= pivots[col]
+        if r:
+            pivots[col] = r
     return pivots.keys()

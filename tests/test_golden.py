@@ -22,6 +22,9 @@ GOLDEN = {
     "quartic-curve": ALL_ROUTES,
     "frf-witness": ALL_ROUTES,
     "monomial": ALL_ROUTES,
+    # the quartic curve at the cutoff t = 1 below its dim 2: the partial
+    # outputs of all three routes, compared on reg_t and a*_t
+    "quartic-curve-t1": ALL_ROUTES + ["--t", "1"],
     # the Stanley-Reisner ideal of the 6-vertex real projective plane
     "rp2-qq": ORACLE,
     "rp2-gf2": ORACLE,

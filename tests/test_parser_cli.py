@@ -420,6 +420,31 @@ class TestCli:
         assert doc["method_disagreements"] == ["gin=(2, 2) vs oracle=(4, 4)"]
         assert err == "mathematical failure: methods disagree: ['gin=(2, 2) vs oracle=(4, 4)']\n"
 
+    def test_all_compares_reg_t_below_dim(self, tmp_path, monkeypatch):
+        # at t = 0 < dim = 1 the c and Gin routes give reg_t and a*_t only,
+        # both -inf here, so they are compared with the oracle's reg_t and
+        # a*_t, and not with its full reg and a*
+        p = tmp_path / "m.ideal"
+        p.write_text(MONOMIAL_FILE)
+        args = ["compute", "--input", str(p), "--method", "all", "--t", "0", "--json"]
+        code, out, err = run_cli(args)
+        assert (code, err) == (EXIT_OK, "")
+        oracle = json.loads(out)["methods"]["oracle"]
+        assert (oracle["dim_quotient"], oracle["reg_quotient"], oracle["reg_t_quotient"]) == (1, 2, "-inf")
+        assert json.loads(out)["methods_agree"] is True
+        # an oracle with a wrong reg_t
+        original = cmreg.cli.invariants_via_betti
+        monkeypatch.setattr(
+            cmreg.cli,
+            "invariants_via_betti",
+            lambda ideal, t: original(ideal, t)._replace(reg_t_quotient=7),
+        )
+        code, out, err = run_cli(args)
+        assert code == EXIT_MATH
+        doc = json.loads(out)
+        assert doc["methods_agree"] is False
+        assert doc["method_disagreements"] == ["gin=('-inf', '-inf') vs oracle=(7, '-inf')"]
+
     def test_monomial_all_methods(self, tmp_path):
         p = tmp_path / "m.ideal"
         p.write_text(MONOMIAL_FILE)

@@ -185,6 +185,13 @@ RP2_FACETS = [
     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
 ]
 
+# rank d_2 is the XOR rank of the edge masks: the 28 edges of K_8, whose
+# vertex 7 lies outside the drawn range 0..6 and is the top vertex of the
+# widest K^b (n <= 8); and a 4-cycle with no 2-faces beside an isolated
+# vertex, where H~_0 = H~_1 = 1
+K8_EDGES = list(combinations(range(8), 2))
+CYCLE_AND_POINT = [(0, 1), (1, 2), (2, 3), (0, 3), (5,)]
+
 
 def levels_of(facets):
     """A simplicial complex given by its facets, as its levels by size of
@@ -211,10 +218,16 @@ def homology_by_elimination(levels, p):
 @example([()])  # {empty face}
 @example([(0,), (3,), (6,)])  # isolated vertices
 @example([(0, 1, 2), (2, 3), (4, 5), (6,)])  # three components
+@example(K8_EDGES)
+@example(CYCLE_AND_POINT)
 def test_counted_low_ranks_are_the_eliminated_ones(facets):
     levels = levels_of(facets)
     for p in (0, 2, 3):
         assert reduced_homology_ranks(levels, p) == homology_by_elimination(levels, p)
+    if facets == K8_EDGES:  # H~_1 has 28 - (8 - 1) = 21 independent cycles
+        assert all(reduced_homology_ranks(levels, p) == [0, 0, 21] for p in (0, 2, 3))
+    if facets == CYCLE_AND_POINT:
+        assert all(reduced_homology_ranks(levels, p) == [0, 1, 1] for p in (0, 2, 3))
     if facets == RP2_FACETS:
         assert reduced_homology_ranks(levels, 0) == reduced_homology_ranks(levels, 3) == [0, 0, 0, 0]
         assert reduced_homology_ranks(levels, 2) == [0, 0, 1, 1]
