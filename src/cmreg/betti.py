@@ -10,6 +10,7 @@ This is a verification oracle, deliberately restricted to desk scale
 (n <= 8, at most 20 generators).
 """
 
+from .fields import FieldError, is_prime
 from .linalg import _xor_pivots, rank
 from .monomial_ideals import NEG_INF, InputError, MonomialIdeal
 from .orders import mono_divides, mono_lcm
@@ -114,7 +115,28 @@ def reduced_homology_ranks(by_dim, field_char=0):
     them keeps a pivot face, and the faces left span a complement of them
     in level k.  Since d_k sends every z to 0, it has the same image on
     the faces left as on all of level k.
+
+    Over QQ the ranks are first taken over GF(2), and returned when that
+    homology is nonzero in at most one degree.  By the universal coefficient
+    theorem, dim H~_i(K; GF(2)) = r_i + t_i + t_{i-1}, where r_i is the rank
+    of H~_i(K; ZZ) = dim H~_i(K; QQ) and t_i the number of its cyclic
+    summands of even order.  If only degree i is nonzero over GF(2), then
+    t_j = 0 for j != i (from degree j) and t_i = 0 (from degree i + 1), so
+    both fields give the same homology.  Otherwise (RP^2, a 4-cycle beside
+    a point) the QQ ranks are eliminated.  GF(p) for odd p has no such
+    certificate, since GF(2) does not see p-torsion.
     """
+    if field_char == 0:
+        mod2 = _homology(by_dim, 2)
+        if sum(map(bool, mod2)) <= 1:
+            return mod2
+    return _homology(by_dim, field_char)
+
+
+def _homology(by_dim, field_char):
+    # reduced_homology_ranks with every rank in characteristic field_char;
+    # a separate function, so that a traced reduced_homology_ranks is one
+    # span per complex
     counts = [len(level) for level in by_dim]
     # boundary_ranks[k] = rank of the boundary map from level k to level k-1
     boundary_ranks = [0] * (len(by_dim) + 1)
@@ -164,13 +186,16 @@ class BettiTable:
 
 def betti_table(J, field_char=None):
     """Betti table of S/J for a monomial ideal J, with ranks taken in
-    characteristic `field_char` (by default that of J's field).
+    characteristic `field_char` (by default that of J's field); FieldError
+    for a `field_char` that is neither 0 nor a prime.
 
     Row i = 0 is beta_{0,0} = 1; homology supplies every row i >= 1, row 1
     (the minimal generators) from H~_{-1}.
     """
     if not isinstance(J, MonomialIdeal):
         raise TypeError("expected a MonomialIdeal")
+    if field_char not in (None, 0) and not is_prime(field_char):
+        raise FieldError("characteristic %d is neither 0 nor a prime" % field_char)
     entries = {(0, 0): 1}
     if J.is_zero():
         return BettiTable(entries, J.n)

@@ -191,7 +191,11 @@ def _not_utf8(data, exc):
     return ParseError("byte 0x%02x is not UTF-8" % data[exc.start], len(lines), len(lines[-1]))
 
 
-def run(argv=None, out=sys.stdout, err=sys.stderr):
+def run(argv=None, out=None, err=None):
+    # the streams are looked up per call, so that a redirected sys.stdout
+    # or sys.stderr receives the output
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     args = build_parser().parse_args(argv)
     if args.command != "compute":
         build_parser().print_help(err)

@@ -12,6 +12,7 @@ from cmreg import (
     MonomialIdeal,
     PolynomialRing,
     PrimeField,
+    QQ,
     betti_table,
     hilbert_numerator,
     invariants_from_betti,
@@ -26,9 +27,20 @@ from cmreg.betti import (
     upper_koszul_complex,
 )
 from cmreg.cli import EXIT_OK, run
+from cmreg.fields import FieldError
 
 from conftest import random_monomial_ideal
 from test_golden import GOLDEN, GOLDEN_DIR
+
+
+def rp2_ideal(field):
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane."""
+    R = PolynomialRing(["x%d" % i for i in range(1, 7)], field=field)
+    nonfaces = [
+        (1, 2, 4), (1, 2, 5), (1, 3, 5), (1, 3, 6), (1, 4, 6),
+        (2, 3, 4), (2, 3, 6), (2, 5, 6), (3, 4, 5), (4, 5, 6),
+    ]
+    return MonomialIdeal.from_generators(R, [tuple(int(v in face) for v in range(1, 7)) for face in nonfaces])
 
 
 class TestLcmMultidegrees:
@@ -173,18 +185,20 @@ class TestBettiTable:
             done += 1
 
     def test_characteristic_defaults_to_the_field(self):
-        # the Stanley-Reisner ideal of the 6-vertex real projective plane:
         # reg(S/J) is 3 over GF(2) and 2 in characteristic 0
-        R = PolynomialRing(["x%d" % i for i in range(1, 7)], field=PrimeField(2))
-        nonfaces = [
-            (1, 2, 4), (1, 2, 5), (1, 3, 5), (1, 3, 6), (1, 4, 6),
-            (2, 3, 4), (2, 3, 6), (2, 5, 6), (3, 4, 5), (4, 5, 6),
-        ]
-        J = MonomialIdeal.from_generators(
-            R, [tuple(int(v in face) for v in range(1, 7)) for face in nonfaces]
-        )
+        J = rp2_ideal(PrimeField(2))
         assert invariants_from_betti(betti_table(J))["reg"] == 3
         assert invariants_from_betti(betti_table(J, field_char=0))["reg"] == 2
+
+    @pytest.mark.parametrize("field_char", [1, 4, -2])
+    def test_refuses_a_characteristic_neither_zero_nor_prime(self, field_char):
+        # on RP^2, 1 gave beta_{3,6} = beta_{4,6} = 10, 4 a bare ValueError
+        # from pow, and -2 the table over GF(2); the zero ideal, whose table
+        # needs no rank, is refused too
+        J = rp2_ideal(QQ)
+        for ideal in (J, MonomialIdeal.from_generators(J.ring, [])):
+            with pytest.raises(FieldError, match="neither 0 nor a prime"):
+                betti_table(ideal, field_char)
 
 
 class TestInvariantsFromBetti:
@@ -225,39 +239,49 @@ class TestInvariantsFromBetti:
             assert rep.c is None and rep.t == t
 
 
+def spied_oracle_run(monkeypatch, name, spied, args):
+    """Run the CLI on the golden ideal `name` with `args`, and return the
+    positional arguments of each call of the named `cmreg.linalg`
+    functions, as {function: [args, ...]}."""
+    seen = {}
+    for function in spied:
+        original, seen[function] = getattr(cmreg.linalg, function), []
+
+        def spy(*a, _original=original, _calls=seen[function], **kwargs):
+            _calls.append(a)
+            return _original(*a, **kwargs)
+
+        monkeypatch.setattr(cmreg.linalg, function, spy)
+    path = os.path.join(GOLDEN_DIR, name + ".ideal")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["compute", "--input", path, "--json"] + args, out=out, err=err) == EXIT_OK
+    return seen
+
+
 class TestBoundaryEliminations:
     # perfbench/tracer.py reads the linalg metrics off the calls of
     # rank_int and rank_mod_p, and the size of each matrix off its first
     # positional argument; an elimination that goes around them reads 0
     @pytest.mark.parametrize(
-        "name, function, calls, rows",
+        "name, expected",
         [
             # 115 boundary matrices at levels >= 3; cleared, they keep 916
             # of their 1407 rows
-            ("oracle-gf2", "rank_mod_p", 115, 916),
+            ("oracle-gf2", {"rank_mod_p": (115, 916)}),
             # one d_3 with RP^2's 10 triangles, its top level: nothing cleared
-            ("rp2-gf2", "rank_mod_p", 1, 10),
-            ("rp2-qq", "rank_int", 1, 10),
+            ("rp2-gf2", {"rank_mod_p": (1, 10)}),
+            # over QQ the same d_3 over GF(2) first; that homology spans
+            # H~_1 and H~_2, so d_3 is eliminated over QQ too
+            ("rp2-qq", {"rank_mod_p": (1, 10), "rank_int": (1, 10)}),
         ],
+        ids=["oracle-gf2", "rp2-gf2", "rp2-qq"],
     )
-    def test_every_boundary_rank_goes_through_the_traced_functions(
-        self, monkeypatch, name, function, calls, rows
-    ):
-        seen = {"rank_int": [], "rank_mod_p": []}
-        for spied in seen:
-            original = getattr(cmreg.linalg, spied)
-
-            def spy(*args, _original=original, _calls=seen[spied], **kwargs):
-                _calls.append(args)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(cmreg.linalg, spied, spy)
-        path = os.path.join(GOLDEN_DIR, name + ".ideal")
-        out, err = io.StringIO(), io.StringIO()
-        assert run(["compute", "--input", path, "--json"] + GOLDEN[name], out=out, err=err) == EXIT_OK
-        assert {f: len(c) for f, c in seen.items() if c} == {function: calls}
-        assert all(isinstance(args[0], list) for args in seen[function])
-        assert sum(len(args[0]) for args in seen[function]) == rows
+    def test_every_boundary_rank_goes_through_the_traced_functions(self, monkeypatch, name, expected):
+        seen = spied_oracle_run(monkeypatch, name, ["rank_int", "rank_mod_p"], GOLDEN[name])
+        assert {f: len(c) for f, c in seen.items() if c} == {f: calls for f, (calls, _) in expected.items()}
+        for function, (_, rows) in expected.items():
+            assert all(isinstance(args[0], list) for args in seen[function])
+            assert sum(len(args[0]) for args in seen[function]) == rows
 
     @pytest.mark.parametrize(
         "name, normalizes", [("oracle-gf2", False), ("rp2-gf2", False), ("rp2-qq", True)]
@@ -265,15 +289,23 @@ class TestBoundaryEliminations:
     def test_only_the_dict_kernel_normalizes_pivot_rows(self, monkeypatch, name, normalizes):
         # over GF(2) a pivot row is an int bitset and needs no canonical
         # multiple; over QQ every pivot row is one
-        calls = []
-        original = cmreg.linalg.normalized
+        seen = spied_oracle_run(monkeypatch, name, ["normalized"], GOLDEN[name])
+        assert bool(seen["normalized"]) == normalizes
 
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(cmreg.linalg, "normalized", spy)
-        path = os.path.join(GOLDEN_DIR, name + ".ideal")
-        out, err = io.StringIO(), io.StringIO()
-        assert run(["compute", "--input", path, "--json"] + GOLDEN[name], out=out, err=err) == EXIT_OK
-        assert bool(calls) == normalizes
+    @pytest.mark.parametrize(
+        "name, qq_rank",
+        [
+            # every K^b of this QQ ideal has GF(2) homology in at most one
+            # degree, which is then its homology over QQ: nothing is
+            # eliminated over QQ
+            ("monomial", 0),
+            # RP^2's d_3, whose GF(2) homology spans two degrees, in one
+            # rank_int call, with one normalized pivot row per unit of its
+            # rank 10
+            ("rp2-qq", 10),
+        ],
+    )
+    def test_qq_is_eliminated_only_where_gf2_homology_spans_two_degrees(self, monkeypatch, name, qq_rank):
+        seen = spied_oracle_run(monkeypatch, name, ["rank_int", "normalized"], ["--method", "oracle", "--betti"])
+        assert len(seen["rank_int"]) == bool(qq_rank)
+        assert len(seen["normalized"]) == qq_rank

@@ -28,6 +28,11 @@ GOLDEN = {
     # the Stanley-Reisner ideal of the 6-vertex real projective plane
     "rp2-qq": ORACLE,
     "rp2-gf2": ORACLE,
+    # and of its suspension, RP^2's nonfaces and x7*x8 in 8 variables: its
+    # Z/2 in H~_2 adds beta_{4,8} = beta_{5,8} = 1 over GF(2) only, so
+    # reg(R/I) is 3 over QQ and 4 over GF(2)
+    "susp-rp2-qq": ORACLE,
+    "susp-rp2-gf2": ORACLE,
     # prime-field coefficients reduced mod p on input, and a c route that
     # needs one coordinate retry
     "gfp-retry": ALL_ROUTES,

@@ -1,5 +1,6 @@
 """Ideal-file parsing and the command line front end."""
 
+import contextlib
 import io
 import json
 import os
@@ -45,6 +46,7 @@ from cmreg.cli import (
 from cmreg.groebner import buchberger
 
 from conftest import non_borel_draw, quartic_curve_ideal
+from test_golden import GOLDEN, GOLDEN_DIR
 
 CURVE_FILE = """\
 # quartic space curve example
@@ -628,6 +630,21 @@ class TestCli:
         code, _, err = run_cli([])
         assert code == EXIT_INPUT
         assert "compute" in err
+
+    def test_default_streams_are_looked_up_per_call(self, tmp_path):
+        # with no out or err, run writes to sys.stdout and sys.stderr as
+        # they are when it is called, so redirecting them captures its output
+        golden = os.path.join(GOLDEN_DIR, "monomial")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(["compute", "--input", golden + ".ideal", "--json"] + GOLDEN["monomial"]) == EXIT_OK
+        with open(golden + ".json", encoding="utf-8") as fh:
+            assert out.getvalue() == fh.read()
+        assert err.getvalue() == ""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run(["compute", "--input", str(tmp_path / "missing.ideal")]) == EXIT_INPUT
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
     def test_argument_parser_built_once(self):
         parser = build_parser()

@@ -4,7 +4,8 @@ coordinates; on random monomial ideals over QQ and GF(2), probed where
 b_j meets or passes the generators' exponents: the upper Koszul complex
 read off its facets against its definition; on random facet
 sets over at most 7 vertices, over QQ, GF(2) and GF(3): reduced homology
-with its two lowest boundary ranks counted against elimination at every
+with its two lowest boundary ranks counted, and over QQ taken over GF(2)
+where that homology lies in one degree, against elimination at every
 level; on random facet sets over at most 8 vertices, over QQ, GF(2) and
 GF(3): each boundary rank, with the pivot faces of the map above cleared,
 against the dense rank of the whole map; on random monomial ideals in 5
@@ -191,6 +192,10 @@ RP2_FACETS = [
 # vertex, where H~_0 = H~_1 = 1
 K8_EDGES = list(combinations(range(8), 2))
 CYCLE_AND_POINT = [(0, 1), (1, 2), (2, 3), (0, 3), (5,)]
+# the suspension of RP^2, its 10 triangles coned off to vertex 6 and to
+# vertex 7: H~_2 = Z/2, so H~_2 = H~_3 = 1 over GF(2) and no homology over
+# QQ or GF(3); over QQ the GF(2) ranks span two degrees and are not kept
+SUSP_RP2_FACETS = [t + (apex,) for apex in (6, 7) for t in RP2_FACETS]
 
 
 def levels_of(facets):
@@ -220,6 +225,7 @@ def homology_by_elimination(levels, p):
 @example([(0, 1, 2), (2, 3), (4, 5), (6,)])  # three components
 @example(K8_EDGES)
 @example(CYCLE_AND_POINT)
+@example(SUSP_RP2_FACETS)
 def test_counted_low_ranks_are_the_eliminated_ones(facets):
     levels = levels_of(facets)
     for p in (0, 2, 3):
@@ -231,6 +237,9 @@ def test_counted_low_ranks_are_the_eliminated_ones(facets):
     if facets == RP2_FACETS:
         assert reduced_homology_ranks(levels, 0) == reduced_homology_ranks(levels, 3) == [0, 0, 0, 0]
         assert reduced_homology_ranks(levels, 2) == [0, 0, 1, 1]
+    if facets == SUSP_RP2_FACETS:
+        assert reduced_homology_ranks(levels, 0) == reduced_homology_ranks(levels, 3) == [0] * 5
+        assert reduced_homology_ranks(levels, 2) == [0, 0, 0, 1, 1]
 
 
 def oracle_work(J):
@@ -440,6 +449,7 @@ SKELETON_FACETS = list(combinations(range(8), 6))
 @example(RP2_FACETS)
 @example(SPHERE3_FACETS)
 @example(SKELETON_FACETS)
+@example(SUSP_RP2_FACETS)
 def test_clearing_keeps_every_boundary_rank(facets):
     # from the top level down, as reduced_homology_ranks does: d_k on the
     # level-k faces that were not pivot columns of d_{k+1} has the rank of
@@ -464,6 +474,10 @@ def test_clearing_keeps_every_boundary_rank(facets):
             assert homology == [0, 0, 0, 0, 1]
         if facets == SKELETON_FACETS:
             assert homology == [0] * 6 + [7]
+        if facets == SUSP_RP2_FACETS:
+            # d_4 on the 20 tetrahedra has rank 19 over GF(2), as d_3 of
+            # RP^2 has rank 9, and 20 otherwise
+            assert (ranks[4], homology) == ((19, [0, 0, 0, 1, 1]) if p == 2 else (20, [0] * 5))
 
 
 @st.composite
